@@ -384,6 +384,28 @@ class TestEvaluateDriver:
         assert "mention_det" not in report.tasks
         assert report.tasks["entity_ident"].tp == 1
 
+    def test_duplicate_entity_ids_in_prediction(self):
+        # Entity scoring counts every listed entity as its own cluster, while
+        # a triple endpoint resolves to the last entity carrying that id.
+        gold = _rel_doc("d", [Triple("", "", 0, "member_of", 1)])
+        pred = Prediction(
+            "d",
+            (Entity(0, "Ada", "Person"), Entity(1, "Acme", "Organization"), Entity(1, "Rome", "Place")),
+            (_mention(0, "Ada"), _mention(1, "Acme", start=5)),
+            (Triple("", "", 0, "member_of", 1),),
+            True,
+            ("", ""),
+        )
+        tasks = evaluate([pred], [gold]).tasks
+        counts = {name: (s.tp, s.fp, s.fn) for name, s in tasks.items()}
+        assert counts == {
+            "mention_det": (2, 0, 1),
+            "entity_ident": (2, 1, 1),
+            "entity_class": (2, 1, 1),
+            "re_general": (1, 0, 0),
+            "re_strict": (0, 1, 1),
+        }
+
     def test_table_rendering(self):
         preds, golds = self._fixture()
         table = evaluate(preds, golds).format_table()
