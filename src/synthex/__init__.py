@@ -18,7 +18,7 @@ from .core import (
     save_records,
     split_paragraphs,
 )
-from .markup import parse_annotated, render_annotated, verify_echo
+from .markup import parse_annotated, render_annotated
 from .gateway import ChatGateway, GenerationParams, extract_boxed, extract_json_block
 from .annotator import (
     Annotator,
@@ -97,5 +97,4 @@ __all__ = [
     "truncate_text",
     "valid_rate",
     "verify_annotation",
-    "verify_echo",
 ]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import (
     AnnotationRecord,
     Entity,
-    Mention,
     SourceDocument,
     SynthexError,
     Triple,
@@ -81,28 +80,12 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
-class RawEntity:
-    id: int
-    name: str
-    type_label: str
-
-
-@dataclass(frozen=True)
-class RawTriple:
-    description: str
-    triple_string: str
-    subject: int
-    predicate: str
-    object: int
-
-
-@dataclass(frozen=True)
 class RawAnnotation:
     """Model output after JSON parsing, before rule-based verification."""
 
     text_with_spans: str
-    entities: tuple[RawEntity, ...]
-    triples: tuple[RawTriple, ...]
+    entities: tuple[Entity, ...]
+    triples: tuple[Triple, ...]
     relation_types: tuple[str, ...]
     entity_types: tuple[str, ...]
 
@@ -333,7 +316,7 @@ def parse_annotation_response(response: str) -> RawAnnotation:
         _require(isinstance(item.get("id"), int) and not isinstance(item.get("id"), bool), f"entities[{i}].id")
         _require(isinstance(item.get("name"), str) and item["name"] != "", f"entities[{i}].name")
         _require(isinstance(item.get("type"), str) and item["type"] != "", f"entities[{i}].type")
-        entities.append(RawEntity(id=item["id"], name=item["name"], type_label=item["type"]))
+        entities.append(Entity.from_dict(item))
 
     raw_triples = _lookup(data, "triples")
     _require(isinstance(raw_triples, list), "triples")
@@ -345,15 +328,7 @@ def parse_annotation_response(response: str) -> RawAnnotation:
         for key_name in ("subject", "object"):
             value = item.get(key_name)
             _require(isinstance(value, int) and not isinstance(value, bool), f"triples[{i}].{key_name}")
-        triples.append(
-            RawTriple(
-                description=item["description"],
-                triple_string=item["triple_string"],
-                subject=item["subject"],
-                predicate=item["predicate"],
-                object=item["object"],
-            )
-        )
+        triples.append(Triple.from_dict(item))
 
     relation_types = _lookup(data, "relation_types")
     _require(isinstance(relation_types, list) and all(isinstance(x, str) for x in relation_types), "relation_types")
@@ -477,32 +452,21 @@ def raw_to_record(doc_id: str, source_text: str, raw: RawAnnotation, provenance:
     entity's label, since the inline tags are not authoritative for typing.
     """
     _, mentions = parse_annotated(raw.text_with_spans)
-    entities = tuple(Entity(id=e.id, name=e.name, type_label=e.type_label) for e in raw.entities)
-    type_by_id = {e.id: e.type_label for e in entities}
+    type_by_id = {e.id: e.type_label for e in raw.entities}
     mentions = [
         m if type_by_id.get(m.entity_id) in (None, m.type_label)
-        else Mention(m.entity_id, m.span, m.surface, type_by_id[m.entity_id])
+        else replace(m, type_label=type_by_id[m.entity_id])
         for m in mentions
     ]
-    triples = tuple(
-        Triple(
-            description=t.description,
-            triple_string=t.triple_string,
-            subject=t.subject,
-            predicate=t.predicate,
-            object=t.object,
-        )
-        for t in raw.triples
-    )
     return AnnotationRecord(
         doc_id=doc_id,
         text=source_text,
         annotated_text=raw.text_with_spans,
-        entities=entities,
+        entities=raw.entities,
         mentions=tuple(mentions),
-        triples=triples,
-        entity_types=derive_entity_types(entities),
-        relation_types=derive_relation_types(triples),
+        triples=raw.triples,
+        entity_types=derive_entity_types(raw.entities),
+        relation_types=derive_relation_types(raw.triples),
         provenance=provenance,
     )
 

@@ -4,7 +4,9 @@ Every other module builds on these types. Annotated documents persist as JSONL
 with one record per line; the field layout follows the synthetic-data release
 format ("text", "annotated_text", "entities", "relations") with "mentions",
 "entity_types", "relation_types", "doc_id" and "provenance" as documented
-extensions.
+extensions. Entity, Mention and Triple each carry their one JSON codec
+(``to_dict``/``from_dict``); every persisted layout and prompt block is built
+from those.
 """
 
 from __future__ import annotations
@@ -85,6 +87,13 @@ class Entity:
     name: str
     type_label: str
 
+    def to_dict(self) -> dict:
+        return {"id": self.id, "name": self.name, "type": self.type_label}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Entity":
+        return cls(id=int(data["id"]), name=data["name"], type_label=data["type"])
+
 
 @dataclass(frozen=True)
 class Mention:
@@ -94,6 +103,24 @@ class Mention:
     span: Span
     surface: str
     type_label: str
+
+    def to_dict(self) -> dict:
+        return {
+            "entity_id": self.entity_id,
+            "start": self.span.start,
+            "end": self.span.end,
+            "surface": self.surface,
+            "type": self.type_label,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Mention":
+        return cls(
+            entity_id=int(data["entity_id"]),
+            span=Span(int(data["start"]), int(data["end"])),
+            surface=data["surface"],
+            type_label=data.get("type", ""),
+        )
 
 
 @dataclass(frozen=True)
@@ -110,6 +137,25 @@ class Triple:
     subject: int
     predicate: str
     object: int
+
+    def to_dict(self) -> dict:
+        return {
+            "description": self.description,
+            "triple_string": self.triple_string,
+            "subject": self.subject,
+            "predicate": self.predicate,
+            "object": self.object,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Triple":
+        return cls(
+            description=data.get("description", ""),
+            triple_string=data.get("triple_string", ""),
+            subject=int(data["subject"]),
+            predicate=data["predicate"],
+            object=int(data["object"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -181,29 +227,9 @@ def record_to_dict(record: AnnotationRecord) -> dict:
         "doc_id": record.doc_id,
         "text": record.text,
         "annotated_text": record.annotated_text,
-        "entities": [
-            {"id": e.id, "name": e.name, "type": e.type_label} for e in record.entities
-        ],
-        "relations": [
-            {
-                "description": t.description,
-                "triple_string": t.triple_string,
-                "subject": t.subject,
-                "predicate": t.predicate,
-                "object": t.object,
-            }
-            for t in record.triples
-        ],
-        "mentions": [
-            {
-                "entity_id": m.entity_id,
-                "start": m.span.start,
-                "end": m.span.end,
-                "surface": m.surface,
-                "type": m.type_label,
-            }
-            for m in record.mentions
-        ],
+        "entities": [e.to_dict() for e in record.entities],
+        "relations": [t.to_dict() for t in record.triples],
+        "mentions": [m.to_dict() for m in record.mentions],
         "entity_types": list(record.entity_types),
         "relation_types": list(record.relation_types),
     }
@@ -219,31 +245,11 @@ def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
     recovered by parsing the annotated text, and missing type inventories are
     derived from the entities/relations themselves.
     """
-    entities = tuple(
-        Entity(id=int(e["id"]), name=e["name"], type_label=e["type"])
-        for e in data.get("entities", [])
-    )
-    triples = tuple(
-        Triple(
-            description=t.get("description", ""),
-            triple_string=t.get("triple_string", ""),
-            subject=int(t["subject"]),
-            predicate=t["predicate"],
-            object=int(t["object"]),
-        )
-        for t in data.get("relations", data.get("triples", []))
-    )
+    entities = tuple(map(Entity.from_dict, data.get("entities", [])))
+    triples = tuple(map(Triple.from_dict, data.get("relations", data.get("triples", []))))
     annotated_text = data.get("annotated_text", data.get("text_with_spans", ""))
     if "mentions" in data:
-        mentions = tuple(
-            Mention(
-                entity_id=int(m["entity_id"]),
-                span=Span(int(m["start"]), int(m["end"])),
-                surface=m["surface"],
-                type_label=m.get("type", ""),
-            )
-            for m in data["mentions"]
-        )
+        mentions = tuple(map(Mention.from_dict, data["mentions"]))
     else:
         from .markup import parse_annotated
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from .core import (
     record_from_dict,
     record_to_dict,
 )
+from .gateway import GatewayError, post_json
 
 INDEX_FORMAT_VERSION = 1
 
@@ -104,7 +103,8 @@ class FallbackEmbedder:
 
 
 class ProviderEmbedder:
-    """Client for an HTTP embeddings endpoint."""
+    """Client for an HTTP embeddings endpoint, under the chat gateway's retry
+    policy."""
 
     mode = "provider"
 
@@ -117,18 +117,15 @@ class ProviderEmbedder:
     def embed(self, text: str) -> list[float]:
         if not text.strip():
             raise EmptyTextError("cannot embed empty text")
-        payload = json.dumps({"model": self.model_name, "input": text}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(
-            f"{self.base_url}/embeddings", data=payload, headers=headers, method="POST"
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                data = json.loads(response.read().decode("utf-8"))
-            vector = data["data"][0]["embedding"]
-        except (urllib.error.URLError, OSError, json.JSONDecodeError, KeyError, IndexError) as exc:
+            raw = post_json(
+                f"{self.base_url}/embeddings",
+                {"model": self.model_name, "input": text},
+                api_key=self.api_key,
+                timeout=self.timeout,
+            )
+            vector = json.loads(raw)["data"][0]["embedding"]
+        except (GatewayError, json.JSONDecodeError, KeyError, IndexError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
         if not isinstance(vector, list) or not vector:
             raise ProviderError("embeddings endpoint returned no vector")

@@ -6,8 +6,10 @@ are fetched over HTTP and cached on disk keyed by a content hash of
 ``replay`` mode the cache is the only source, so a corpus plus a populated
 cache reproduces every downstream artifact byte-for-byte.
 
-Also hosts the response-text utilities shared by the annotation and
-post-processing stages: strict JSON extraction and boxed-verdict parsing.
+Also hosts :func:`post_json`, the one HTTP POST-with-retry helper (the
+embeddings client uses it too), and the response-text utilities shared by the
+annotation and post-processing stages: strict JSON extraction and
+boxed-verdict parsing.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ class NoVerdictError(SynthexError):
 
 
 VERDICTS = ("A", "B", "C", "D")
+
+# Retry policy for every HTTP call: attempts, and the first backoff in seconds.
+MAX_RETRIES = 3
+BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ class ChatGateway:
         base_url: str = "",
         api_key: str = "",
         timeout: float = 120.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
+        max_retries: int = MAX_RETRIES,
+        backoff: float = BACKOFF,
     ):
         if mode not in ("record", "replay", "live"):
             raise ValueError(f"unknown gateway mode {mode!r}")
@@ -190,33 +196,15 @@ class ChatGateway:
         }
         if params.max_tokens is not None:
             body["max_tokens"] = params.max_tokens
-        payload = json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        url = f"{self.base_url}/chat/completions"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    raw = response.read().decode("utf-8")
-                return self._parse_completion(raw)
-            except urllib.error.HTTPError as exc:
-                detail = exc.read().decode("utf-8", "replace")
-                error = EndpointError(f"endpoint returned {exc.code}: {detail[:500]}")
-                if exc.code != 429 and exc.code < 500:
-                    raise error from exc  # client errors will not improve on retry
-                last_error = error
-            except (urllib.error.URLError, OSError) as exc:
-                last_error = exc
-            if attempt + 1 < self.max_retries and self.backoff > 0:
-                time.sleep(self.backoff * (2**attempt))
-        if isinstance(last_error, EndpointError):
-            raise last_error
-        raise TransportError(
-            f"endpoint unreachable after {self.max_retries} attempts: {last_error}"
-        ) from last_error
+        raw = post_json(
+            f"{self.base_url}/chat/completions",
+            body,
+            api_key=self.api_key,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+        )
+        return self._parse_completion(raw)
 
     @staticmethod
     def _parse_completion(raw: str) -> str:
@@ -228,6 +216,50 @@ class ChatGateway:
         if not isinstance(content, str):
             raise EndpointError(f"completion content is not text: {content!r}")
         return content
+
+
+def post_json(
+    url: str,
+    body: dict,
+    *,
+    api_key: str,
+    timeout: float,
+    max_retries: int = MAX_RETRIES,
+    backoff: float = BACKOFF,
+) -> str:
+    """POST ``body`` as JSON and return the response text.
+
+    429 and 5xx answers and connection errors are retried with exponential
+    backoff; any other HTTP error raises :class:`EndpointError` at once, since
+    client errors will not improve on retry. Exhausted retries raise the last
+    :class:`EndpointError`, or :class:`TransportError` when the endpoint was
+    never reached.
+    """
+    payload = json.dumps(body).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    last_error: Exception | None = None
+    for attempt in range(max_retries):
+        request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.read().decode("utf-8")
+        except urllib.error.HTTPError as exc:
+            detail = exc.read().decode("utf-8", "replace")
+            error = EndpointError(f"endpoint returned {exc.code}: {detail[:500]}")
+            if exc.code != 429 and exc.code < 500:
+                raise error from exc
+            last_error = error
+        except (urllib.error.URLError, OSError) as exc:
+            last_error = exc
+        if attempt + 1 < max_retries and backoff > 0:
+            time.sleep(backoff * (2**attempt))
+    if isinstance(last_error, EndpointError):
+        raise last_error
+    raise TransportError(
+        f"endpoint unreachable after {max_retries} attempts: {last_error}"
+    ) from last_error
 
 
 # --- response text utilities -------------------------------------------------

@@ -86,23 +86,6 @@ please fix accordingly.
 Return the completed JSON, not just your changes."""
 
 
-def _entity_dicts(entities: tuple[Entity, ...]) -> list[dict]:
-    return [{"id": e.id, "name": e.name, "type": e.type_label} for e in entities]
-
-
-def _triple_dicts(triples: tuple[Triple, ...]) -> list[dict]:
-    return [
-        {
-            "description": t.description,
-            "triple_string": t.triple_string,
-            "subject": t.subject,
-            "predicate": t.predicate,
-            "object": t.object,
-        }
-        for t in triples
-    ]
-
-
 def build_inference_prompt(
     demo: AnnotationRecord,
     partial: PartialAnnotation | None,
@@ -120,17 +103,17 @@ def build_inference_prompt(
         "text": demo.text,
         "entity_types": list(demo.entity_types),
         "text_with_spans": demo.annotated_text,
-        "entities": _entity_dicts(demo.entities),
+        "entities": [e.to_dict() for e in demo.entities],
         "relation_types": list(demo.relation_types),
-        "relations": _triple_dicts(demo.triples),
+        "relations": [t.to_dict() for t in demo.triples],
     }
     query_block = {
         "text": query_text,
         "entity_types": list(schema.entity_types),
         "text_with_spans": partial.text_with_spans if partial else "",
-        "entities": _entity_dicts(partial.entities) if partial else [],
+        "entities": [e.to_dict() for e in partial.entities] if partial else [],
         "relation_types": list(schema.relation_types),
-        "relations": _triple_dicts(partial.triples) if partial else [],
+        "relations": [t.to_dict() for t in partial.triples] if partial else [],
     }
     prompt = INFERENCE_TEMPLATE.replace(
         "{demo_block}", json.dumps(demo_block, indent=4, ensure_ascii=False)
@@ -176,14 +159,7 @@ def _reanchor_mentions(
         if index == -1:
             dropped += 1
             continue
-        anchored.append(
-            Mention(
-                entity_id=m.entity_id,
-                span=Span(index, index + len(m.surface)),
-                surface=m.surface,
-                type_label=m.type_label,
-            )
-        )
+        anchored.append(replace(m, span=Span(index, index + len(m.surface))))
         if index >= cursor:
             cursor = index + len(m.surface)
     return anchored, dropped
@@ -211,25 +187,14 @@ def _prediction_from_raw(
         return None
     if _collapse_whitespace(plain) != _collapse_whitespace(doc.text):
         return None
-    entities = tuple(Entity(id=e.id, name=e.name, type_label=e.type_label) for e in raw.entities)
-    known_ids = {e.id for e in entities}
+    known_ids = {e.id for e in raw.entities}
     anchored, dropped = _reanchor_mentions(
         [m for m in parsed_mentions if m.entity_id in known_ids], doc.text
     )
-    triples = tuple(
-        Triple(
-            description=t.description,
-            triple_string=t.triple_string,
-            subject=t.subject,
-            predicate=t.predicate,
-            object=t.object,
-        )
-        for t in raw.triples
-        if t.subject in known_ids and t.object in known_ids
-    )
+    triples = tuple(t for t in raw.triples if t.subject in known_ids and t.object in known_ids)
     return Prediction(
         doc_id=doc.id,
-        entities=entities,
+        entities=raw.entities,
         mentions=tuple(anchored),
         triples=triples,
         valid=True,
@@ -324,21 +289,7 @@ class InferencePipeline:
             raw = parse_annotation_response(response)
         except (MissingKeyError, ResponseSyntaxError, NoJsonFoundError):
             return None
-        return PartialAnnotation(
-            text=fragment,
-            text_with_spans=raw.text_with_spans,
-            entities=tuple(Entity(id=e.id, name=e.name, type_label=e.type_label) for e in raw.entities),
-            triples=tuple(
-                Triple(
-                    description=t.description,
-                    triple_string=t.triple_string,
-                    subject=t.subject,
-                    predicate=t.predicate,
-                    object=t.object,
-                )
-                for t in raw.triples
-            ),
-        )
+        return PartialAnnotation(fragment, raw.text_with_spans, raw.entities, raw.triples)
 
 
 # --- prediction persistence ----------------------------------------------------
@@ -347,18 +298,9 @@ def prediction_to_dict(pred: Prediction) -> dict:
     return {
         "doc_id": pred.doc_id,
         "valid": pred.valid,
-        "entities": _entity_dicts(pred.entities),
-        "mentions": [
-            {
-                "entity_id": m.entity_id,
-                "start": m.span.start,
-                "end": m.span.end,
-                "surface": m.surface,
-                "type": m.type_label,
-            }
-            for m in pred.mentions
-        ],
-        "triples": _triple_dicts(pred.triples),
+        "entities": [e.to_dict() for e in pred.entities],
+        "mentions": [m.to_dict() for m in pred.mentions],
+        "triples": [t.to_dict() for t in pred.triples],
         "raw_responses": list(pred.raw_responses),
         "provenance": pred.provenance,
     }
@@ -367,29 +309,9 @@ def prediction_to_dict(pred: Prediction) -> dict:
 def prediction_from_dict(data: dict) -> Prediction:
     return Prediction(
         doc_id=str(data["doc_id"]),
-        entities=tuple(
-            Entity(id=int(e["id"]), name=e["name"], type_label=e["type"])
-            for e in data.get("entities", [])
-        ),
-        mentions=tuple(
-            Mention(
-                entity_id=int(m["entity_id"]),
-                span=Span(int(m["start"]), int(m["end"])),
-                surface=m["surface"],
-                type_label=m.get("type", ""),
-            )
-            for m in data.get("mentions", [])
-        ),
-        triples=tuple(
-            Triple(
-                description=t.get("description", ""),
-                triple_string=t.get("triple_string", ""),
-                subject=int(t["subject"]),
-                predicate=t["predicate"],
-                object=int(t["object"]),
-            )
-            for t in data.get("triples", [])
-        ),
+        entities=tuple(map(Entity.from_dict, data.get("entities", []))),
+        mentions=tuple(map(Mention.from_dict, data.get("mentions", []))),
+        triples=tuple(map(Triple.from_dict, data.get("triples", []))),
         valid=bool(data["valid"]),
         raw_responses=tuple(data.get("raw_responses", ["", ""])),
         provenance=data.get("provenance", {}),

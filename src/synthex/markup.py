@@ -1,4 +1,4 @@
-"""Inline ``<ent>`` markup: parsing to character spans, rendering, echo checks.
+"""Inline ``<ent>`` markup: parsing to character spans and rendering.
 
 The dialect is exactly ``<ent id="<int>" type="<string>">...</ent>``. Tags may
 use single or double attribute quotes on input; rendering always emits double
@@ -137,43 +137,3 @@ def render_annotated(text: str, mentions: list[Mention]) -> str:
     out.append(text[cursor:])
     return "".join(out)
 
-
-class EchoResult:
-    """Truthy when the annotated text strips back to the original exactly."""
-
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str | None = None):
-        self.ok = ok
-        self.reason = reason
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        return f"EchoResult(ok={self.ok}, reason={self.reason!r})"
-
-
-def verify_echo(original: str, annotated: str) -> EchoResult:
-    """Check that stripping tags from ``annotated`` reproduces ``original``.
-
-    No whitespace forgiveness; parse failures come back as a falsy result
-    with the reason attached.
-    """
-    try:
-        plain, _ = parse_annotated(annotated)
-    except MarkupError as exc:
-        return EchoResult(False, f"tag parse failed: {exc}")
-    if plain != original:
-        return EchoResult(False, _first_divergence(original, plain))
-    return EchoResult(True)
-
-
-def _first_divergence(expected: str, got: str) -> str:
-    limit = min(len(expected), len(got))
-    i = 0
-    while i < limit and expected[i] == got[i]:
-        i += 1
-    return (
-        f"echo mismatch at offset {i}: expected {expected[i : i + 20]!r}, got {got[i : i + 20]!r}"
-    )

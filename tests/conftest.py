@@ -9,7 +9,7 @@ import random
 import pytest
 
 from synthex.core import AnnotationRecord, Entity, Mention, Span, Triple, record_from_dict
-from synthex.annotator import RawAnnotation, RawEntity, RawTriple
+from synthex.annotator import RawAnnotation
 from synthex.gateway import ChatGateway, GenerationParams
 from synthex.markup import parse_annotated, render_annotated
 
@@ -89,13 +89,10 @@ def uni_vienna_record() -> AnnotationRecord:
 def raw_from_record(record: AnnotationRecord) -> RawAnnotation:
     return RawAnnotation(
         text_with_spans=record.annotated_text,
-        entities=tuple(RawEntity(e.id, e.name, e.type_label) for e in record.entities),
-        triples=tuple(
-            RawTriple(t.description, t.triple_string, t.subject, t.predicate, t.object)
-            for t in record.triples
-        ),
-        relation_types=tuple(record.relation_types),
-        entity_types=tuple(record.entity_types),
+        entities=record.entities,
+        triples=record.triples,
+        relation_types=record.relation_types,
+        entity_types=record.entity_types,
     )
 
 

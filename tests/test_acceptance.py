@@ -19,8 +19,6 @@ from synthex.annotator import (
     TAG_PARSE_ERROR,
     TRIPLE_ID_UNKNOWN,
     TRIPLE_NAME_MISMATCH,
-    RawEntity,
-    RawTriple,
     build_zero_shot_prompt,
     sentence_spans,
     truncate_text,
@@ -28,7 +26,7 @@ from synthex.annotator import (
     word_count,
 )
 from synthex.cli import main
-from synthex.core import Entity, Mention, Schema, SourceDocument, Span, dump_jsonl
+from synthex.core import Entity, Mention, Schema, SourceDocument, Span, Triple, dump_jsonl
 from synthex.demostore import ExclusionList, FallbackEmbedder, build_index, cosine
 from synthex.evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate, prf
 from synthex.gateway import ChatGateway, NoVerdictError, extract_boxed
@@ -102,7 +100,7 @@ def _corrupt_echo(raw, record, rng):
 
 
 def _corrupt_missing_span(raw, record, rng):
-    ghost = RawEntity(id=max(e.id for e in raw.entities) + 1, name="Ghost Entry", type_label="Spirit")
+    ghost = Entity(id=max(e.id for e in raw.entities) + 1, name="Ghost Entry", type_label="Spirit")
     return dataclasses.replace(raw, entities=raw.entities + (ghost,))
 
 
@@ -118,7 +116,7 @@ def _corrupt_mention(raw, record, rng):
 
 def _corrupt_triple_id(raw, record, rng):
     t = raw.triples[0]
-    bad = RawTriple(t.description, t.triple_string, t.subject, t.predicate, 9999)
+    bad = Triple(t.description, t.triple_string, t.subject, t.predicate, 9999)
     return dataclasses.replace(raw, triples=(bad,) + raw.triples[1:])
 
 
@@ -126,7 +124,7 @@ def _corrupt_triple_name(raw, record, rng):
     t = raw.triples[0]
     names = {e.id: e.name for e in raw.entities}
     bad_string = f"(Totally Wrong Name, {t.predicate}, {names[t.object]})"
-    bad = RawTriple(t.description, bad_string, t.subject, t.predicate, t.object)
+    bad = Triple(t.description, bad_string, t.subject, t.predicate, t.object)
     return dataclasses.replace(raw, triples=(bad,) + raw.triples[1:])
 
 

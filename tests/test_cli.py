@@ -370,6 +370,16 @@ class TestIndexInferEval:
         assert code == 1
         assert "no predictions" in capsys.readouterr().err
 
+    def test_eval_duplicate_prediction_ids(self, tmp_path, capsys):
+        pred = {"doc_id": "uni-vienna", "valid": False, "raw_responses": ["", ""]}
+        predictions = tmp_path / "preds.jsonl"
+        dump_jsonl([pred, {**pred, "doc_id": "other"}, pred], predictions)
+        gold = tmp_path / "gold.jsonl"
+        dump_jsonl([{**UNI_VIENNA_DICT, "doc_id": "uni-vienna"}], gold)
+        code = main(["eval", "--predictions", str(predictions), "--gold", str(gold)])
+        assert code == 1
+        assert "duplicate prediction doc ids: ['uni-vienna']" in capsys.readouterr().err
+
     def test_index_empty_dataset(self, tmp_path, capsys):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")

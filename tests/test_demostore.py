@@ -82,12 +82,16 @@ class TestFallbackEmbedder:
 class _EmbedHandler(BaseHTTPRequestHandler):
     vector = [0.6, 0.8]
     status = 200
+    scripted: list = []  # statuses for the next requests, before ``status``
+    requests = 0
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
+        type(self).requests += 1
+        status = self.scripted.pop(0) if self.scripted else self.status
         payload = json.dumps({"data": [{"embedding": self.vector}]}).encode("utf-8")
-        self.send_response(self.status)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -101,6 +105,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 def embed_server():
     _EmbedHandler.vector = [0.6, 0.8]
     _EmbedHandler.status = 200
+    _EmbedHandler.scripted = []
+    _EmbedHandler.requests = 0
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -122,6 +128,19 @@ class TestProviderEmbedder:
     def test_empty_text(self, embed_server):
         with pytest.raises(EmptyTextError):
             ProviderEmbedder(base_url=embed_server, model_name="emb-1").embed(" ")
+
+    def test_transient_error_retried(self, embed_server):
+        _EmbedHandler.scripted = [503]
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        assert embedder.embed("hello") == [0.6, 0.8]
+        assert _EmbedHandler.requests == 2
+
+    def test_client_error_not_retried(self, embed_server):
+        _EmbedHandler.status = 400
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        with pytest.raises(ProviderError, match="400"):
+            embedder.embed("hello")
+        assert _EmbedHandler.requests == 1
 
 
 def _corpus(n: int, rng: random.Random, vocab=None):

@@ -6,12 +6,9 @@ from synthex.core import AnnotationRecord, Entity, Mention, Span, Triple
 from synthex.evaluate import (
     MODE_ALL,
     MODE_VALID_ONLY,
+    DuplicatePredictionError,
     EmptyPredictionSetError,
-    GoldMissingMentionsError,
-    eval_entity_class,
-    eval_entity_ident,
-    eval_mentions,
-    eval_relations,
+    TaskScore,
     evaluate,
     prf,
     valid_rate,
@@ -45,6 +42,10 @@ def _doc(doc_id, entities, mentions, triples=()):
         entity_types=tuple(dict.fromkeys(e.type_label for e in entities)),
         relation_types=tuple(dict.fromkeys(t.predicate for t in triples)),
     )
+
+
+def _task(task, preds, golds, mode=MODE_ALL, use_spans=False) -> TaskScore:
+    return evaluate(preds, golds, mode=mode, use_spans=use_spans).tasks[task]
 
 
 def _mention(entity_id, surface, type_label="T", start=0):
@@ -101,7 +102,7 @@ class TestEvalMentions:
             True,
             ("", ""),
         )
-        score = eval_mentions([pred], [gold])
+        score = _task("mention_det", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (1, 1, 1)
         assert score.precision == score.recall == score.f1 == 50.0
 
@@ -112,13 +113,13 @@ class TestEvalMentions:
             [_mention(0, "a", start=i * 5) for i in range(4)],
         )
         pred = Prediction("d", (), (), (), False, ("", ""))
-        score = eval_mentions([pred], [gold], MODE_ALL)
+        score = _task("mention_det", [pred], [gold], MODE_ALL)
         assert (score.tp, score.fp, score.fn) == (0, 0, 4)
 
     def test_invalid_doc_excluded_in_valid_only(self):
         gold = _doc("d", [Entity(0, "a", "T")], [_mention(0, "a")])
         pred = Prediction("d", (), (), (), False, ("", ""))
-        score = eval_mentions([pred], [gold], MODE_VALID_ONLY)
+        score = _task("mention_det", [pred], [gold], MODE_VALID_ONLY)
         assert (score.tp, score.fp, score.fn) == (0, 0, 0)
 
     def test_duplicate_surfaces_multiset(self):
@@ -131,26 +132,29 @@ class TestEvalMentions:
             True,
             ("", ""),
         )
-        score = eval_mentions([pred], [gold])
+        score = _task("mention_det", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (1, 1, 0)
 
     def test_surface_normalization(self):
         gold = _doc("d", [Entity(0, "Vienna", "T")], [_mention(0, "Vienna")])
         pred = Prediction("d", (Entity(0, "x", "T"),), (_mention(0, "  VIENNA "),), (), True, ("", ""))
-        assert eval_mentions([pred], [gold]).tp == 1
+        assert _task("mention_det", [pred], [gold]).tp == 1
 
     def test_span_mode(self):
         gold = _doc("d", [Entity(0, "ab", "T")], [Mention(0, Span(3, 5), "ab", "T")])
         right_span = Prediction("d", (Entity(0, "ab", "T"),), (Mention(0, Span(3, 5), "ab", "T"),), (), True, ("", ""))
         wrong_span = Prediction("d", (Entity(0, "ab", "T"),), (Mention(0, Span(8, 10), "ab", "T"),), (), True, ("", ""))
-        assert eval_mentions([right_span], [gold], use_spans=True).tp == 1
-        assert eval_mentions([wrong_span], [gold], use_spans=True).tp == 0
+        assert _task("mention_det", [right_span], [gold], use_spans=True).tp == 1
+        assert _task("mention_det", [wrong_span], [gold], use_spans=True).tp == 0
 
-    def test_gold_without_mentions_raises(self):
+    def test_gold_without_mentions_omits_task(self):
         gold = _doc("d", [Entity(0, "a", "T")], [])
-        pred = prediction_from_record(gold)
-        with pytest.raises(GoldMissingMentionsError):
-            eval_mentions([pred], [gold])
+        for mode in (MODE_ALL, MODE_VALID_ONLY):
+            assert "mention_det" not in evaluate([prediction_from_record(gold)], [gold], mode).tasks
+        # Only scored documents count: valid_only drops the invalid one here.
+        invalid = prediction_from_record(gold, valid=False)
+        assert "mention_det" not in evaluate([invalid], [gold], MODE_ALL).tasks
+        assert "mention_det" in evaluate([invalid], [gold], MODE_VALID_ONLY).tasks
 
 
 class TestEvalEntityIdent:
@@ -161,19 +165,19 @@ class TestEvalEntityIdent:
             [_mention(0, "Vienna"), _mention(0, "the city", start=10)],
         )
         pred = Prediction("d", (Entity(0, "Vienna", "Town"),), (_mention(0, "Vienna"),), (), True, ("", ""))
-        score = eval_entity_ident([pred], [gold])
+        score = _task("entity_ident", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (1, 0, 0)
 
     def test_typo_no_match(self):
         gold = _doc("d", [Entity(0, "Vienna", "City")], [_mention(0, "Vienna")])
         pred = Prediction("d", (Entity(0, "Viena", "City"),), (_mention(0, "Viena"),), (), True, ("", ""))
-        score = eval_entity_ident([pred], [gold])
+        score = _task("entity_ident", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (0, 1, 1)
 
     def test_entity_name_fallback_when_no_mentions(self):
         gold = _doc("d", [Entity(0, "Vienna", "City")], [_mention(0, "Vienna")])
         pred = Prediction("d", (Entity(0, "Vienna", "City"),), (), (), True, ("", ""))
-        assert eval_entity_ident([pred], [gold]).tp == 1
+        assert _task("entity_ident", [pred], [gold]).tp == 1
 
     def test_greedy_one_to_one(self):
         # Two pred clusters share a surface with one gold cluster; only one may match.
@@ -186,7 +190,7 @@ class TestEvalEntityIdent:
             True,
             ("", ""),
         )
-        score = eval_entity_ident([pred], [gold])
+        score = _task("entity_ident", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (1, 1, 0)
 
     def test_three_vs_two_fixture(self):
@@ -202,7 +206,7 @@ class TestEvalEntityIdent:
             _mention(2, "gamma", start=30),
         )
         pred = Prediction("d", pred_entities, pred_mentions, (), True, ("", ""))
-        score = eval_entity_ident([pred], [gold])
+        score = _task("entity_ident", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (2, 1, 0)
 
 
@@ -210,12 +214,12 @@ class TestEvalEntityClass:
     def test_type_normalization(self):
         gold = _doc("d", [Entity(0, "Ada", "Person")], [_mention(0, "Ada", "Person")])
         pred = Prediction("d", (Entity(0, "Ada", "person"),), (_mention(0, "Ada", "person"),), (), True, ("", ""))
-        assert eval_entity_class([pred], [gold]).tp == 1
+        assert _task("entity_class", [pred], [gold]).tp == 1
 
     def test_wrong_type_costs_both(self):
         gold = _doc("d", [Entity(0, "Ada", "Person")], [_mention(0, "Ada")])
         pred = Prediction("d", (Entity(0, "Ada", "Organization"),), (_mention(0, "Ada"),), (), True, ("", ""))
-        score = eval_entity_class([pred], [gold])
+        score = _task("entity_class", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (0, 1, 1)
 
     def test_mixed_fixture_hand_tally(self):
@@ -246,7 +250,7 @@ class TestEvalEntityClass:
             True,
             ("", ""),
         )
-        score = eval_entity_class([pred], [gold])
+        score = _task("entity_class", [pred], [gold])
         assert (score.tp, score.fp, score.fn) == (2, 1, 2)
 
 
@@ -271,15 +275,15 @@ class TestEvalRelations:
         gold = _rel_doc("d", [triple])
         pred = _rel_pred(_rel_doc("d", [triple]))
         for strict in (False, True):
-            score = eval_relations([pred], [gold], strict=strict)
+            score = _task("re_strict" if strict else "re_general", [pred], [gold])
             assert (score.tp, score.fp, score.fn) == (1, 0, 0)
 
     def test_wrong_endpoint_type_strict_only_fails(self):
         triple = Triple("", "(Ada, member_of, Acme)", 0, "member_of", 1)
         gold = _rel_doc("d", [triple])
         pred = _rel_pred(_rel_doc("d", [triple], entity_types={0: "Robot"}))
-        general = eval_relations([pred], [gold], strict=False)
-        strict = eval_relations([pred], [gold], strict=True)
+        general = _task("re_general", [pred], [gold])
+        strict = _task("re_strict", [pred], [gold])
         assert (general.tp, general.fp, general.fn) == (1, 0, 0)
         assert (strict.tp, strict.fp, strict.fn) == (0, 1, 1)
 
@@ -287,13 +291,13 @@ class TestEvalRelations:
         gold = _rel_doc("d", [Triple("", "", 0, "member_of", 1)])
         pred = _rel_pred(_rel_doc("d", [Triple("", "", 1, "member_of", 0)]))
         for strict in (False, True):
-            score = eval_relations([pred], [gold], strict=strict)
+            score = _task("re_strict" if strict else "re_general", [pred], [gold])
             assert (score.tp, score.fp, score.fn) == (0, 1, 1)
 
     def test_predicate_normalization(self):
         gold = _rel_doc("d", [Triple("", "", 0, "member_of", 1)])
         pred = _rel_pred(_rel_doc("d", [Triple("", "", 0, "  MEMBER_OF ", 1)]))
-        assert eval_relations([pred], [gold]).tp == 1
+        assert _task("re_general", [pred], [gold]).tp == 1
 
     def test_endpoint_cluster_overlap_rule(self):
         gold = _doc(
@@ -314,7 +318,7 @@ class TestEvalRelations:
             True,
             ("", ""),
         )
-        assert eval_relations([pred], [gold]).tp == 1
+        assert _task("re_general", [pred], [gold]).tp == 1
 
 
 class TestEvaluateDriver:
@@ -405,6 +409,12 @@ class TestEvaluateDriver:
             "re_general": (1, 0, 0),
             "re_strict": (0, 1, 1),
         }
+
+    def test_duplicate_prediction_doc_ids_rejected(self):
+        preds, golds = self._fixture(n_docs=3)
+        preds += [preds[2], prediction_from_record(golds[0], valid=False)]
+        with pytest.raises(DuplicatePredictionError, match=r"\['doc0', 'doc2'\]"):
+            evaluate(preds, golds)
 
     def test_table_rendering(self):
         preds, golds = self._fixture()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from synthex.annotator import ECHO_MISMATCH, TAG_PARSE_ERROR, RawAnnotation, verify_annotation
 from synthex.core import Mention, Span
 from synthex.markup import (
     EmptyMentionError,
@@ -12,7 +13,6 @@ from synthex.markup import (
     UnbalancedTagError,
     parse_annotated,
     render_annotated,
-    verify_echo,
 )
 
 PROMPT_EXAMPLE = (
@@ -140,22 +140,27 @@ class TestRoundTrip:
         assert (plain, mentions) == ("just words, no markup", [])
 
 
+def _echo_findings(original: str, annotated: str) -> dict:
+    """Echo-stage findings of the verification battery, by kind."""
+    raw = RawAnnotation(annotated, entities=(), triples=(), relation_types=(), entity_types=())
+    return {f.kind: f.context for f in verify_annotation(raw, original).errors}
+
+
 class TestVerifyEcho:
     def test_sample_record_passes(self, uni_vienna_record):
-        assert verify_echo(uni_vienna_record.text, uni_vienna_record.annotated_text)
+        assert _echo_findings(uni_vienna_record.text, uni_vienna_record.annotated_text) == {}
 
     def test_simple_true(self):
-        assert verify_echo("abc", '<ent id="0" type="T">abc</ent>')
+        assert _echo_findings("abc", '<ent id="0" type="T">abc</ent>') == {}
 
     def test_altered_content_false(self):
-        result = verify_echo("abc", '<ent id="0" type="T">abd</ent>')
-        assert not result
-        assert "mismatch" in result.reason
+        findings = _echo_findings("abc", '<ent id="0" type="T">abd</ent>')
+        assert "offset 2" in findings[ECHO_MISMATCH]
 
     def test_parse_error_reported_as_reason(self):
-        result = verify_echo("abc", '<ent id="0" type="T">abc')
-        assert not result
-        assert "parse failed" in result.reason
+        findings = _echo_findings("abc", '<ent id="0" type="T">abc')
+        assert "unclosed" in findings[TAG_PARSE_ERROR]
+        assert ECHO_MISMATCH not in findings
 
     def test_no_whitespace_forgiveness(self):
-        assert not verify_echo("a b", "a  b")
+        assert ECHO_MISMATCH in _echo_findings("a b", "a  b")

@@ -1,0 +1,125 @@
+"""Property tests: every JSON codec round-trips its type exactly, through the
+persisted JSON text, and rendering then parsing inline markup is lossless."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from synthex.core import (
+    AnnotationRecord,
+    Entity,
+    Mention,
+    Span,
+    Triple,
+    derive_entity_types,
+    derive_relation_types,
+    record_from_dict,
+    record_to_dict,
+)
+from synthex.inference import Prediction, prediction_from_dict, prediction_to_dict
+from synthex.markup import parse_annotated, render_annotated
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+ids = st.integers(min_value=0, max_value=10**6)
+texts = st.text(max_size=30)
+# What an ent tag can carry in its double-quoted type attribute.
+type_labels = st.text(min_size=1, max_size=12).filter(lambda s: '"' not in s and ">" not in s)
+spans = st.builds(
+    lambda start, length: Span(start, start + length),
+    st.integers(min_value=0, max_value=10**4),
+    st.integers(min_value=1, max_value=500),
+)
+entities = st.builds(Entity, id=ids, name=texts, type_label=texts)
+mentions = st.builds(Mention, entity_id=ids, span=spans, surface=texts, type_label=texts)
+triples = st.builds(Triple, description=texts, triple_string=texts, subject=ids, predicate=texts, object=ids)
+provenances = st.dictionaries(texts, st.one_of(st.integers(), texts, st.booleans()), max_size=3)
+
+
+def through_json(data: dict) -> dict:
+    return json.loads(json.dumps(data, ensure_ascii=False))
+
+
+@PROPERTY_SETTINGS
+@given(entities, mentions, triples)
+def test_element_codecs_round_trip(entity, mention, triple):
+    assert Entity.from_dict(through_json(entity.to_dict())) == entity
+    assert Mention.from_dict(through_json(mention.to_dict())) == mention
+    assert Triple.from_dict(through_json(triple.to_dict())) == triple
+
+
+@st.composite
+def records(draw):
+    record_entities = tuple(draw(st.lists(entities, max_size=4)))
+    record_triples = tuple(draw(st.lists(triples, max_size=4)))
+    # An empty inventory is re-derived on load, so it is either non-empty or
+    # already the derived one.
+    entity_types = draw(
+        st.one_of(st.just(derive_entity_types(record_entities)), st.lists(texts, min_size=1, max_size=3))
+    )
+    relation_types = draw(
+        st.one_of(st.just(derive_relation_types(record_triples)), st.lists(texts, min_size=1, max_size=3))
+    )
+    return AnnotationRecord(
+        doc_id=draw(texts),
+        text=draw(texts),
+        annotated_text=draw(texts),
+        entities=record_entities,
+        mentions=tuple(draw(st.lists(mentions, max_size=4))),
+        triples=record_triples,
+        entity_types=tuple(entity_types),
+        relation_types=tuple(relation_types),
+        provenance=draw(provenances),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(records())
+def test_record_codec_round_trips(record):
+    restored = record_from_dict(through_json(record_to_dict(record)))
+    assert restored == record
+    assert restored.provenance == record.provenance
+
+
+predictions = st.builds(
+    Prediction,
+    doc_id=texts,
+    entities=st.lists(entities, max_size=4).map(tuple),
+    mentions=st.lists(mentions, max_size=4).map(tuple),
+    triples=st.lists(triples, max_size=4).map(tuple),
+    valid=st.booleans(),
+    raw_responses=st.tuples(texts, texts),
+    provenance=provenances,
+)
+
+
+@PROPERTY_SETTINGS
+@given(predictions)
+def test_prediction_codec_round_trips(prediction):
+    restored = prediction_from_dict(through_json(prediction_to_dict(prediction)))
+    assert restored == prediction
+    assert restored.provenance == prediction.provenance
+
+
+@st.composite
+def annotated(draw):
+    """Text free of ent-tag lookalikes, with non-overlapping (possibly
+    adjacent) mentions whose surfaces are the spanned text."""
+    text = draw(st.text(max_size=60).filter(lambda t: "<ent" not in t and "</ent" not in t))
+    found = []
+    cursor = 0
+    while draw(st.booleans()):
+        start = cursor + draw(st.integers(min_value=0, max_value=5))
+        end = start + draw(st.integers(min_value=1, max_value=8))
+        if end > len(text):
+            break
+        found.append(Mention(draw(ids), Span(start, end), text[start:end], draw(type_labels)))
+        cursor = end
+    return text, found
+
+
+@PROPERTY_SETTINGS
+@given(annotated())
+def test_markup_render_parse_round_trip(case):
+    text, found = case
+    assert parse_annotated(render_annotated(text, found)) == (text, found)
