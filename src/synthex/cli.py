@@ -2,10 +2,11 @@
 
 One subcommand per stage — ingest, generate, postprocess, stats, index,
 infer, eval — so any stage can be rerun in isolation. Every command writes a
-run manifest (config hash plus input/output content hashes) next to its
-outputs; with a populated replay cache, identical manifests mean identical
-artifacts. Credentials travel only through environment variables, never
-flags, so they stay out of shell history and manifests.
+run manifest (input/output content hashes plus a hash of the config fields
+that can change an artifact, so no endpoint, cache path or parallelism) next
+to its outputs; with a populated replay cache, identical manifests mean
+identical artifacts. Credentials travel only through environment variables,
+never flags, so they stay out of shell history and manifests.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .core import (
     Schema,
     SourceDocument,
     SynthexError,
+    atomic_writer,
     dump_jsonl,
     load_corpus,
     load_jsonl,
@@ -43,13 +43,15 @@ from .core import (
 )
 from .demostore import DemoIndex, ExclusionList, ProviderEmbedder, build_index
 from .evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate
-from .gateway import ChatGateway, GatewayError
+from .gateway import ChatGateway, map_contained
 from .inference import InferencePipeline, prediction_from_dict, prediction_to_dict
 from .postprocess import PostProcessor
 
 API_KEY_ENV = "SYNTHEX_API_KEY"
 CHAT_URL_ENV = "SYNTHEX_CHAT_BASE_URL"
 EMBED_URL_ENV = "SYNTHEX_EMBED_BASE_URL"
+# Deployment settings change where and how fast a run goes, never what it writes.
+UNHASHED_FIELDS = frozenset({"chat_base_url", "embed_base_url", "cache_dir", "parallelism"})
 
 
 @dataclass
@@ -74,7 +76,7 @@ class RunConfig:
             raise ValueError("retry_temperature must be greater than primary_temperature")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.gateway_mode not in ("record", "replay", "live"):
+        if self.gateway_mode not in ("record", "replay"):
             raise ValueError(f"unknown gateway_mode {self.gateway_mode!r}")
         if self.embedding_mode not in ("fallback", "provider"):
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
@@ -110,12 +112,13 @@ class RunConfig:
         self.validate()
 
     def config_hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True)
+        hashed = {k: v for k, v in asdict(self).items() if k not in UNHASHED_FIELDS}
+        canonical = json.dumps(hashed, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def make_gateway(self) -> ChatGateway:
         return ChatGateway(
-            cache_dir=self.cache_dir if self.gateway_mode != "live" else None,
+            cache_dir=self.cache_dir,
             mode=self.gateway_mode,
             base_url=self.chat_base_url,
             api_key=os.environ.get(API_KEY_ENV, ""),
@@ -203,10 +206,17 @@ def write_manifest(directory: str | Path, command: str, config: RunConfig, input
         "outputs": {str(p): _file_hash(p) for p in outputs},
     }
     path = Path(directory) / f"{command}.manifest.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    tmp.replace(path)
-    return path
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _report_gateway_errors(docs: list[SourceDocument], results: list[tuple]):
+    """One stderr line per document lost to a failed model call, then the count."""
+    failed = [(doc.id, error) for doc, (_, error) in zip(docs, results) if error is not None]
+    for doc_id, error in failed:
+        print(f"gateway error: {doc_id}: {error}", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} documents failed on gateway errors", file=sys.stderr)
 
 
 # --- commands ------------------------------------------------------------------
@@ -245,18 +255,8 @@ def cmd_generate(args, config: RunConfig) -> int:
         retry_temperature=config.retry_temperature,
         max_tokens=config.max_tokens,
     )
-
-    def job(doc):
-        try:
-            return annotator.annotate(doc), None
-        except GatewayError as exc:
-            return None, f"{doc.id}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        results = list(pool.map(job, corpus))
-
+    results = map_contained(annotator.annotate, corpus, config.parallelism)
     outcomes = [outcome for outcome, _ in results if outcome is not None]
-    job_errors = [error for _, error in results if error is not None]
     records = [o for o in outcomes if isinstance(o, AnnotationRecord)]
     failures = [o for o in outcomes if isinstance(o, FailureRecord)]
 
@@ -273,24 +273,19 @@ def cmd_generate(args, config: RunConfig) -> int:
     attempts = len(outcomes)
     yield_percent = 100.0 * len(records) / attempts if attempts else 0.0
     print(f"annotated {len(records)}/{attempts} documents, yield {yield_percent:.2f}%")
-    for error in job_errors:
-        print(f"gateway error: {error}", file=sys.stderr)
-    if job_errors:
-        print(f"{len(job_errors)} documents failed on gateway errors", file=sys.stderr)
+    _report_gateway_errors(corpus, results)
     return 0
 
 
 def _write_length_stats(outcomes, path: Path, bucket_width: int):
     rows = collect_length_stats(outcomes, bucket_width)
-    tmp = path.with_name(path.name + ".tmp")
-    with io.open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bucket", "attempts", *ERROR_KINDS])
         for row in rows:
             writer.writerow(
                 [row.label, row.attempts, *[row.failures.get(kind, 0) for kind in ERROR_KINDS]]
             )
-    tmp.replace(path)
 
 
 def cmd_postprocess(args, config: RunConfig) -> int:
@@ -374,12 +369,13 @@ def cmd_infer(args, config: RunConfig) -> int:
         embedder=config.make_embedder(),
         max_tokens=config.max_tokens,
     )
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        predictions = list(pool.map(lambda d: pipeline.infer(d, schema), docs))
+    results = map_contained(lambda doc: pipeline.infer(doc, schema), docs, config.parallelism)
+    predictions = [prediction for prediction, _ in results if prediction is not None]
     dump_jsonl((prediction_to_dict(p) for p in predictions), args.output)
     write_manifest(Path(args.output).parent, "infer", config, [args.task, args.index], [args.output])
     valid = sum(1 for p in predictions if p.valid)
     print(f"inferred {len(predictions)} documents, {valid} valid outputs")
+    _report_gateway_errors(docs, results)
     return 0
 
 

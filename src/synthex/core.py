@@ -14,9 +14,11 @@ from __future__ import annotations
 import io
 import json
 import re
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 
 class SynthexError(Exception):
@@ -270,15 +272,27 @@ def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
     )
 
 
-def dump_jsonl(items: Iterable[dict], path: str | Path):
-    """Write one JSON object per line, atomically (temp file + rename)."""
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[IO[str]]:
+    """Write UTF-8 text (no newline translation) to a uniquely named temp
+    file beside ``path``, renamed over it on success and deleted on failure:
+    readers never see a partial file, and concurrent writers never mix."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with io.open(tmp, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            yield fh
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def dump_jsonl(items: Iterable[dict], path: str | Path):
+    """Write one JSON object per line, atomically."""
+    with atomic_writer(path) as fh:
         for item in items:
             fh.write(json.dumps(item, ensure_ascii=False))
             fh.write("\n")
-    tmp.replace(path)
 
 
 def load_jsonl(path: str | Path) -> Iterator[dict]:

@@ -24,6 +24,7 @@ from .annotator import truncate_text
 from .core import (
     AnnotationRecord,
     SynthexError,
+    atomic_writer,
     normalize_surface,
     record_from_dict,
     record_to_dict,
@@ -33,8 +34,8 @@ from .gateway import GatewayError, post_json
 INDEX_FORMAT_VERSION = 1
 
 
-class ProviderError(SynthexError):
-    pass
+class ProviderError(GatewayError):
+    """A failed embeddings call."""
 
 
 class EmptyTextError(SynthexError):
@@ -187,7 +188,7 @@ class DemoIndex:
         if self.mode == "fallback":
             return FallbackEmbedder(self.vocabulary or [])
         if embedder is None:
-            raise ProviderError("a provider-mode index needs an embedder for queries")
+            raise ValueError("a provider-mode index needs an embedder for queries")
         return embedder
 
     def retrieve_scored(
@@ -239,10 +240,8 @@ class DemoIndex:
                 for e in self.entries
             ],
         }
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(path)
+        with atomic_writer(path) as fh:
+            fh.write(json.dumps(payload, ensure_ascii=False))
 
     @classmethod
     def load(cls, path: str | Path) -> "DemoIndex":
@@ -283,7 +282,7 @@ def build_index(
         vocabulary = embedder.vocabulary
     elif mode == "provider":
         if embedder is None:
-            raise ProviderError("provider mode requires an embedder")
+            raise ValueError("provider mode requires an embedder")
         vocabulary = None
     else:
         raise ValueError(f"unknown index mode {mode!r}")

@@ -1,15 +1,15 @@
 """Chat-completion endpoint access with deterministic record/replay.
 
-All model calls go through :class:`ChatGateway`. In ``record`` mode responses
-are fetched over HTTP and cached on disk keyed by a content hash of
-(model, temperature, prompt); reruns hit the cache and never the network. In
+Every chat call goes through :class:`ChatGateway` and its on-disk cache, keyed
+by a content hash of (model, temperature, prompt). In ``record`` mode unseen
+prompts are fetched over HTTP and cached; reruns never touch the network. In
 ``replay`` mode the cache is the only source, so a corpus plus a populated
 cache reproduces every downstream artifact byte-for-byte.
 
-Also hosts :func:`post_json`, the one HTTP POST-with-retry helper (the
-embeddings client uses it too), and the response-text utilities shared by the
-annotation and post-processing stages: strict JSON extraction and
-boxed-verdict parsing.
+Also hosts :func:`map_contained`, the one worker pool; :func:`post_json`, the
+one HTTP POST-with-retry helper (the embeddings client uses it too); and the
+response-text utilities shared by the annotation and post-processing stages:
+strict JSON extraction and boxed-verdict parsing.
 """
 
 from __future__ import annotations
@@ -17,18 +17,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import SynthexError
+from .core import SynthexError, atomic_writer
 
 
 class GatewayError(SynthexError):
-    """Base class for call failures (distinct from bad model content)."""
+    """Base class for failed model calls (distinct from bad model content)."""
 
 
 class TransportError(GatewayError):
@@ -75,14 +75,6 @@ class GenerationParams:
             raise ValueError("max_tokens must be positive")
 
 
-@dataclass(frozen=True)
-class ChatExchange:
-    prompt: str
-    params: GenerationParams
-    response_text: str
-    cache_key: str
-
-
 def cache_key(prompt: str, params: GenerationParams) -> str:
     """Content hash identifying an exchange; max_tokens deliberately excluded
     so replay stays stable across output-length config tweaks."""
@@ -98,17 +90,18 @@ class ChatGateway:
     """Single point of contact with the chat-completions endpoint.
 
     Modes:
-      - ``record`` (default): read-through cache; unseen prompts go live and
-        the response is stored.
-      - ``replay``: cache only; an unseen key raises :class:`CacheMissError`.
-      - ``live``: always call the endpoint, never touch the cache.
+      - ``record`` (default): read-through cache; a prompt without a usable
+        entry goes to the endpoint and the response is stored.
+      - ``replay``: cache only; a prompt without a usable entry raises
+        :class:`CacheMissError`.
 
-    Safe to share across worker threads; cache writes are serialized.
+    A usable entry parses and stores this request's prompt, model and
+    temperature. Safe to share across threads and processes.
     """
 
     def __init__(
         self,
-        cache_dir: str | Path | None = None,
+        cache_dir: str | Path,
         mode: str = "record",
         base_url: str = "",
         api_key: str = "",
@@ -116,73 +109,62 @@ class ChatGateway:
         max_retries: int = MAX_RETRIES,
         backoff: float = BACKOFF,
     ):
-        if mode not in ("record", "replay", "live"):
+        if mode not in ("record", "replay"):
             raise ValueError(f"unknown gateway mode {mode!r}")
-        if mode in ("record", "replay") and cache_dir is None:
-            raise ValueError(f"{mode} mode requires a cache directory")
+        if cache_dir is None:
+            raise ValueError("the gateway requires a cache directory")
         self.mode = mode
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir)
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._write_lock = threading.Lock()
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         """Return the assistant message text for a single-turn prompt."""
         key = cache_key(prompt, params)
-        if self.mode in ("record", "replay"):
-            cached = self._read_cache(key)
-            if cached is not None:
-                return cached.response_text
+        try:
+            return self._read_cache(key, prompt, params)
+        except CacheMissError:
             if self.mode == "replay":
-                raise CacheMissError(f"no cached response for key {key[:12]}… in replay mode")
+                raise
         text = self._call_endpoint(prompt, params)
-        if self.mode == "record":
-            self._write_cache(ChatExchange(prompt, params, text, key))
+        self.store(prompt, params, text)
         return text
 
     def store(self, prompt: str, params: GenerationParams, response_text: str):
-        """Seed the cache with a known exchange (fixtures, imports)."""
-        self._write_cache(ChatExchange(prompt, params, response_text, cache_key(prompt, params)))
+        """Write one exchange to the cache (also seeds fixtures and imports)."""
+        key = cache_key(prompt, params)
+        payload = {
+            "cache_key": key,
+            "model_name": params.model_name,
+            "temperature": params.temperature,
+            "max_tokens": params.max_tokens,
+            "prompt": prompt,
+            "response_text": response_text,
+        }
+        with atomic_writer(self.cache_dir / f"{key}.json") as fh:
+            fh.write(json.dumps(payload, ensure_ascii=False))
 
     # -- cache ---------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.json"
-
-    def _read_cache(self, key: str) -> ChatExchange | None:
-        path = self._cache_path(key)
-        if not path.exists():
-            return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        params = GenerationParams(
-            temperature=data["temperature"],
-            model_name=data["model_name"],
-            max_tokens=data.get("max_tokens"),
-        )
-        return ChatExchange(data["prompt"], params, data["response_text"], key)
-
-    def _write_cache(self, exchange: ChatExchange):
-        if self.cache_dir is None:
-            raise ValueError("gateway has no cache directory")
-        payload = {
-            "cache_key": exchange.cache_key,
-            "model_name": exchange.params.model_name,
-            "temperature": exchange.params.temperature,
-            "max_tokens": exchange.params.max_tokens,
-            "prompt": exchange.prompt,
-            "response_text": exchange.response_text,
-        }
-        path = self._cache_path(exchange.cache_key)
-        with self._write_lock:
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-            tmp.replace(path)
+    def _read_cache(self, key: str, prompt: str, params: GenerationParams) -> str:
+        """The cached response, or CacheMissError naming the key and why."""
+        try:
+            data = json.loads((self.cache_dir / f"{key}.json").read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise CacheMissError(f"no cached response for key {key[:12]}…") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CacheMissError(f"cache entry {key[:12]}… does not parse: {exc}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("response_text"), str):
+            raise CacheMissError(f"cache entry {key[:12]}… has no response_text")
+        request = {"prompt": prompt, "model_name": params.model_name, "temperature": params.temperature}
+        differing = [name for name, value in request.items() if data.get(name) != value]
+        if differing:
+            raise CacheMissError(f"cache entry {key[:12]}… stores another {' and '.join(differing)}")
+        return data["response_text"]
 
     # -- transport -----------------------------------------------------------
 
@@ -260,6 +242,21 @@ def post_json(
     raise TransportError(
         f"endpoint unreachable after {max_retries} attempts: {last_error}"
     ) from last_error
+
+
+def map_contained(fn, items, parallelism: int) -> list[tuple]:
+    """Run ``fn`` over ``items`` on ``parallelism`` threads, in input order.
+    Each item yields ``(result, None)``, or ``(None, exc)`` when it raised a
+    :class:`GatewayError`; any other exception propagates."""
+
+    def contained(item):
+        try:
+            return fn(item), None
+        except GatewayError as exc:
+            return None, exc
+
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(contained, items))
 
 
 # --- response text utilities -------------------------------------------------

@@ -115,7 +115,8 @@ def render_annotated(text: str, mentions: list[Mention]) -> str:
     """Insert ent tags so that parsing the result recovers (text, mentions).
 
     Mentions must be non-overlapping with spans valid in ``text``; they are
-    emitted in span order.
+    emitted in span order. A type label that a tag cannot carry (empty, or
+    containing ``"`` or ``>``) is refused, since escapes are never decoded.
     """
     ordered = sorted(mentions, key=lambda m: (m.span.start, m.span.end))
     out = []
@@ -129,6 +130,8 @@ def render_annotated(text: str, mentions: list[Mention]) -> str:
             raise OverlappingMentionsError(
                 f"mention at [{m.span.start}, {m.span.end}) overlaps a previous mention"
             )
+        if not m.type_label or '"' in m.type_label or ">" in m.type_label:
+            raise MalformedAttributesError(f"type label {m.type_label!r} cannot be written into a tag")
         out.append(text[cursor : m.span.start])
         out.append(f'<ent id="{m.entity_id}" type="{m.type_label}">')
         out.append(text[m.span.start : m.span.end])

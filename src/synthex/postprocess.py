@@ -10,7 +10,6 @@ where every entity shares a single type.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .annotator import fill_template
@@ -22,7 +21,7 @@ from .core import (
     derive_relation_types,
     normalize_surface,
 )
-from .gateway import ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed
+from .gateway import ChatGateway, GenerationParams, NoVerdictError, extract_boxed, map_contained
 
 KEEP = "keep"
 INCONSISTENT = "inconsistent"
@@ -191,22 +190,13 @@ class PostProcessor:
         order. Gateway failures are contained to the affected document: it is
         dropped with a gateway_error entry and the run continues.
         """
-
-        def collect(record):
-            try:
-                return self.collect_verdicts(record), None
-            except GatewayError as exc:
-                return None, str(exc)
-
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            collected = list(pool.map(collect, records))
-
+        collected = map_contained(self.collect_verdicts, records, max(1, parallelism))
         kept_records: list[AnnotationRecord] = []
         drop_log: list[DropLogEntry] = []
         for record, (verdicts, error) in zip(records, collected):
             if error is not None:
                 drop_log.append(
-                    DropLogEntry(record.doc_id, STAGE_GATEWAY_ERROR, {"error": error})
+                    DropLogEntry(record.doc_id, STAGE_GATEWAY_ERROR, {"error": str(error)})
                 )
                 continue
             filtered = apply_discard_policy(record, verdicts)

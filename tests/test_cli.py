@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from synthex.annotator import build_zero_shot_prompt
 from synthex.cli import RunConfig, compute_dataset_stats, main
 from synthex.core import Schema, dump_jsonl, load_records, record_from_dict
-from synthex.gateway import ChatGateway
+from synthex.demostore import ProviderEmbedder, ProviderError, build_index
+from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import build_inference_prompt
 from synthex.postprocess import build_triple_verification_prompt
 
@@ -150,6 +152,39 @@ class TestGenerate:
         for name in ("annotations.jsonl", "failures.jsonl", "length_stats.csv"):
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
 
+    def test_truncated_cache_entry_costs_one_document(self, tmp_path, capsys):
+        corpus = _write_generate_fixture(tmp_path, n_good=3)
+        prompt = build_zero_shot_prompt(_corpus_doc(1)["text"])
+        entry = tmp_path / "cache" / f"{cache_key(prompt, params_for(MODEL, 0.0))}.json"
+        entry.write_bytes(entry.read_bytes()[:50])
+        config = _write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["generate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--config", str(config)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert [r.doc_id for r in load_records(out_dir / "annotations.jsonl")] == ["doc0", "doc2"]
+        errors = [line for line in captured.err.splitlines() if line.startswith("gateway error:")]
+        assert len(errors) == 1 and errors[0].startswith("gateway error: doc1: ")
+        assert "1 documents failed on gateway errors" in captured.err
+        assert "annotated 2/2 documents, yield 100.00%" in captured.out
+
+    def test_manifest_ignores_deployment_settings(self, tmp_path):
+        corpus = _write_generate_fixture(tmp_path, n_good=2)
+        shutil.copytree(tmp_path / "cache", tmp_path / "other-cache")
+        out_dir = tmp_path / "out"
+        args = ["generate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--config"]
+        assert main(args + [str(_write_config(tmp_path))]) == 0
+        first = (out_dir / "generate.manifest.json").read_bytes()
+        other = _write_config(
+            tmp_path,
+            chat_base_url="http://127.0.0.1:1/v1",
+            embed_base_url="http://127.0.0.1:2/v1",
+            cache_dir=str(tmp_path / "other-cache"),
+            parallelism=3,
+        )
+        assert main(args + [str(other)]) == 0
+        assert (out_dir / "generate.manifest.json").read_bytes() == first
+
 
 class TestPostprocessCommand:
     def test_kept_and_drop_log(self, tmp_path, capsys, uni_vienna_record):
@@ -249,7 +284,11 @@ QUERY_RELATIONS = [
 ]
 
 
-def _setup_infer_fixture(tmp_path, uni_vienna_record):
+# A second query sharing words with the demonstration; no test seeds its calls.
+UNSEEDED_QUERY = {"id": "q2", "text": "Mara Voss visited the University of Vienna."}
+
+
+def _setup_infer_fixture(tmp_path, uni_vienna_record, extra_documents=()):
     from synthex.core import save_records
 
     kept = tmp_path / "kept.jsonl"
@@ -262,7 +301,7 @@ def _setup_infer_fixture(tmp_path, uni_vienna_record):
             "entity_types": list(SCHEMA.entity_types),
             "relation_types": list(SCHEMA.relation_types),
         },
-        "documents": [{"id": "q1", "text": QUERY_TEXT}],
+        "documents": [{"id": "q1", "text": QUERY_TEXT}, *extra_documents],
     }
     task_path = tmp_path / "task.json"
     task_path.write_text(json.dumps(task), encoding="utf-8")
@@ -360,6 +399,61 @@ class TestIndexInferEval:
         )
         assert code == 1
         assert "no index entries remain" in capsys.readouterr().err
+
+    def _infer(self, tmp_path, task_path, index_path, config):
+        predictions_path = tmp_path / "predictions.jsonl"
+        code = main(
+            [
+                "infer",
+                "--task", str(task_path),
+                "--index", str(index_path),
+                "--output", str(predictions_path),
+                "--config", str(config),
+            ]
+        )
+        return code, predictions_path
+
+    def test_infer_contains_cache_miss(self, tmp_path, capsys, uni_vienna_record):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 0
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"]) for p in predictions] == [("q1", True)]
+        captured = capsys.readouterr()
+        assert "inferred 1 documents, 1 valid outputs" in captured.out
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith("gateway error: q2: ")
+        assert errors[1] == "1 documents failed on gateway errors"
+
+    def test_infer_contains_failed_query_embedding(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        def embed(self, text):
+            if "visited" in text:
+                raise ProviderError("embeddings endpoint failed: 503")
+            return [1.0, 0.5]
+
+        monkeypatch.setattr(ProviderEmbedder, "embed", embed)
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
+        index_path = tmp_path / "provider-index.json"
+        build_index([uni_vienna_record], mode="provider", embedder=ProviderEmbedder("", "emb")).save(index_path)
+        config = _write_config(tmp_path, embedding_mode="provider")
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, config)
+        assert code == 0
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"]) for p in predictions] == [("q1", True)]
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["gateway error: q2: embeddings endpoint failed: 503", "1 documents failed on gateway errors"]
+
+    def test_infer_provider_index_without_embedder_fails(self, tmp_path, capsys, uni_vienna_record):
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        index_path = tmp_path / "provider-index.json"
+        stub = type("Stub", (), {"embed": lambda self, text: [1.0, 0.5]})()
+        build_index([uni_vienna_record], mode="provider", embedder=stub).save(index_path)
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and "needs an embedder" in errors[0]
+        assert not predictions_path.exists()
 
     def test_eval_without_predictions(self, tmp_path, capsys):
         predictions = tmp_path / "preds.jsonl"

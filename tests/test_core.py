@@ -4,6 +4,7 @@ import pytest
 
 from synthex.core import (
     Schema,
+    atomic_writer,
     SourceDocument,
     Span,
     load_records,
@@ -158,3 +159,31 @@ class TestRecordPersistence:
         )
         with pytest.raises(ValueError, match="duplicate"):
             load_corpus(path)
+
+
+class TestAtomicWriter:
+    def test_replaces_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        with atomic_writer(target) as fh:
+            fh.write("new\r\nline")
+        assert target.read_bytes() == b"new\r\nline"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failure_keeps_old_file_and_deletes_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(target) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert target.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_concurrent_writers_use_distinct_temp_files(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with atomic_writer(target) as first, atomic_writer(target) as second:
+            assert first.name != second.name
+            first.write("first")
+            second.write("second")
+        assert target.read_text(encoding="utf-8") == "first"

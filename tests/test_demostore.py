@@ -165,7 +165,7 @@ class TestBuildIndex:
             build_index([], mode="fallback")
 
     def test_provider_mode_requires_embedder(self):
-        with pytest.raises(ProviderError):
+        with pytest.raises(ValueError):
             build_index(_corpus(2, random.Random(0)), mode="provider")
 
     def test_provider_mode_with_stub(self, embed_server):

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -54,6 +55,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -109,6 +111,37 @@ class TestReplay:
         with pytest.raises(ValueError):
             ChatGateway(cache_dir=None, mode="replay")
 
+    def test_live_mode_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown gateway mode"):
+            ChatGateway(cache_dir=tmp_path, mode="live")
+
+    def test_concurrent_stores_leave_one_whole_entry(self, tmp_path):
+        gateway = ChatGateway(cache_dir=tmp_path, mode="replay")
+        responses = [f"response {i} " * 200 for i in range(8)]
+        errors = []
+
+        def writer(response):
+            try:
+                for _ in range(30):
+                    gateway.store("ping", PARAMS, response)
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(r,)) for r in responses]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key('ping', PARAMS)}.json"]
+        assert gateway.complete("ping", PARAMS) in responses
+
 
 class TestLiveTransport:
     def test_stub_server_round_trip(self, stub_server, tmp_path):
@@ -153,9 +186,59 @@ class TestLiveTransport:
         with pytest.raises(TransportError):
             gateway.complete("ping", PARAMS)
 
-    def test_live_mode_without_endpoint(self):
-        gateway = ChatGateway(mode="live")
+    def test_live_mode_without_endpoint(self, tmp_path):
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record")  # empty cache, no endpoint
         with pytest.raises(TransportError, match="no endpoint"):
+            gateway.complete("ping", PARAMS)
+
+
+def _truncate_entry(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _change_prompt(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["prompt"] = "some other prompt"
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+CORRUPTIONS = {"truncated": (_truncate_entry, "does not parse"), "other prompt": (_change_prompt, "prompt")}
+
+
+class TestCacheIntegrity:
+    """An entry that does not parse, lacks a field or stores another request
+    is a miss: fetched again in record mode, an error in replay mode."""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_record_mode_fetches_again_and_overwrites(self, stub_server, tmp_path, corruption):
+        corrupt, _ = CORRUPTIONS[corruption]
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
+        gateway.store("ping", PARAMS, "stale")
+        corrupt(tmp_path / f"{cache_key('ping', PARAMS)}.json")
+        assert gateway.complete("ping", PARAMS) == "canned reply"
+        assert len(_ChatHandler.requests) == 1
+        offline = ChatGateway(cache_dir=tmp_path, mode="replay")
+        assert offline.complete("ping", PARAMS) == "canned reply"
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_replay_mode_raises_cache_miss(self, tmp_path, corruption):
+        corrupt, reason = CORRUPTIONS[corruption]
+        gateway = ChatGateway(cache_dir=tmp_path, mode="replay")
+        gateway.store("ping", PARAMS, "stale")
+        key = cache_key("ping", PARAMS)
+        corrupt(tmp_path / f"{key}.json")
+        with pytest.raises(CacheMissError, match=reason) as info:
+            gateway.complete("ping", PARAMS)
+        assert key[:12] in str(info.value)
+
+    def test_entry_without_response_is_a_miss(self, tmp_path):
+        gateway = ChatGateway(cache_dir=tmp_path, mode="replay")
+        gateway.store("ping", PARAMS, "stale")
+        path = tmp_path / f"{cache_key('ping', PARAMS)}.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["response_text"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(CacheMissError, match="response_text"):
             gateway.complete("ping", PARAMS)
 
 

@@ -110,6 +110,11 @@ class TestRender:
         with pytest.raises(SpanOutOfBoundsError):
             render_annotated("ab", [Mention(0, Span(1, 5), "b???", "T")])
 
+    @pytest.mark.parametrize("label", ['x"y', "a>b", ""])
+    def test_unwritable_type_label_rejected(self, label):
+        with pytest.raises(MalformedAttributesError, match="cannot be written"):
+            render_annotated("ab", [Mention(0, Span(0, 1), "a", label)])
+
     def test_adjacent_mentions_allowed(self):
         text = "ab"
         mentions = [Mention(0, Span(0, 1), "a", "T"), Mention(1, Span(1, 2), "b", "U")]

@@ -1,10 +1,14 @@
 """Property tests: every JSON codec round-trips its type exactly, through the
-persisted JSON text, and rendering then parsing inline markup is lossless."""
+persisted JSON text; rendering then parsing inline markup is lossless or
+refused; sentence splitting, truncation and JSON extraction keep their
+invariants on adversarial text."""
 
 import json
+import re
 
 from hypothesis import given, settings, strategies as st
 
+from synthex.annotator import sentence_spans, truncate_text, word_count
 from synthex.core import (
     AnnotationRecord,
     Entity,
@@ -17,7 +21,13 @@ from synthex.core import (
     record_to_dict,
 )
 from synthex.inference import Prediction, prediction_from_dict, prediction_to_dict
-from synthex.markup import parse_annotated, render_annotated
+from synthex.gateway import (
+    NoJsonFoundError,
+    ResponseSyntaxError,
+    _balanced_candidate,
+    extract_json_block,
+)
+from synthex.markup import MarkupError, parse_annotated, render_annotated
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -102,7 +112,7 @@ def test_prediction_codec_round_trips(prediction):
 
 
 @st.composite
-def annotated(draw):
+def annotated(draw, labels=type_labels):
     """Text free of ent-tag lookalikes, with non-overlapping (possibly
     adjacent) mentions whose surfaces are the spanned text."""
     text = draw(st.text(max_size=60).filter(lambda t: "<ent" not in t and "</ent" not in t))
@@ -113,7 +123,7 @@ def annotated(draw):
         end = start + draw(st.integers(min_value=1, max_value=8))
         if end > len(text):
             break
-        found.append(Mention(draw(ids), Span(start, end), text[start:end], draw(type_labels)))
+        found.append(Mention(draw(ids), Span(start, end), text[start:end], draw(labels)))
         cursor = end
     return text, found
 
@@ -123,3 +133,86 @@ def annotated(draw):
 def test_markup_render_parse_round_trip(case):
     text, found = case
     assert parse_annotated(render_annotated(text, found)) == (text, found)
+
+
+@PROPERTY_SETTINGS
+@given(annotated(labels=st.one_of(st.text(max_size=12), st.sampled_from(['"', ">", "", 'a"b', "a>b", "'"]))))
+def test_markup_render_refuses_or_round_trips(case):
+    text, found = case
+    try:
+        rendered = render_annotated(text, found)
+    except MarkupError:
+        return
+    assert parse_annotated(rendered) == (text, found)
+
+
+# Words, sentence terminators, abbreviations and assorted whitespace.
+prose = st.lists(
+    st.one_of(
+        st.sampled_from(["Alpha", "beta", "Mr.", "J.", "No.", "3.5", "end.", "Why?", "Yes!", ".", "?!", "x"]),
+        st.sampled_from([" ", "  ", "\n", "\n\n", "\t", "\u00a0", "\u2003"]),
+        st.text(max_size=4),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@PROPERTY_SETTINGS
+@given(prose)
+def test_sentence_spans_cover_all_but_whitespace(text):
+    spans = sentence_spans(text)
+    cursor = 0
+    for start, end in spans:
+        assert cursor <= start < end <= len(text)
+        assert text[cursor:start].strip() == ""
+        cursor = end
+    assert text[cursor:].strip() == ""
+
+
+@PROPERTY_SETTINGS
+@given(prose, st.integers(min_value=1, max_value=30))
+def test_truncate_text_is_a_long_enough_prefix(text, min_words):
+    truncated = truncate_text(text, min_words)
+    assert text.startswith(truncated)
+    assert truncated == text or word_count(truncated) >= min_words
+
+
+# Braces, quotes, backslashes and fences: the characters JSON extraction scans for.
+adversarial = st.lists(
+    st.one_of(
+        st.sampled_from(["{", "}", '"', "\\", ":", ",", "[", "]", "1", "a", " ", "```json\n", "```", "'"]),
+        st.text(max_size=3),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@PROPERTY_SETTINGS
+@given(adversarial)
+def test_extract_json_block_refuses_or_returns_json(response):
+    try:
+        block = extract_json_block(response)
+    except (NoJsonFoundError, ResponseSyntaxError):
+        return
+    assert block in response
+    json.loads(block)
+
+
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+
+
+@PROPERTY_SETTINGS
+@given(adversarial.filter(lambda t: "{" in t), st.data())
+def test_balanced_candidate_starts_at_start_and_balances(text, data):
+    start = data.draw(st.sampled_from([i for i, c in enumerate(text) if c == "{"]))
+    candidate = _balanced_candidate(text, start)
+    if candidate is None:
+        return
+    assert text[start : start + len(candidate)] == candidate
+    outside = _JSON_STRING.sub("", candidate)
+    assert '"' not in outside
+    depth = 0
+    for i, c in enumerate(outside):
+        depth += {"{": 1, "}": -1}.get(c, 0)
+        assert depth > 0 or i == len(outside) - 1
+    assert depth == 0
