@@ -2,21 +2,35 @@
 
 Retrieval fetches the most similar annotated document for a query, comparing
 truncated query text against the truncated demonstration texts — both sides
-pass through the identical truncation before embedding. The scan is exhaustive
-and exact: at a few thousand entries an approximate structure buys nothing and
-risks a wrong neighbor.
+pass through the identical truncation before embedding. Scoring is exact
+cosine, not approximate: at a few thousand entries an approximate structure
+buys nothing and risks a wrong neighbor.
 
 Embeddings come either from an HTTP provider (text in, vector out; the actual
 model is configuration) or from a hermetic lexical fallback — an L2-normalized
 term-frequency vector over a corpus-fixed vocabulary. The fallback exists so
 tests and offline runs need no network; it is not a substitute for semantic
 similarity.
+
+A fallback index keeps each entry's nonzero ``(vocabulary position, weight)``
+pairs and an inverted posting list from position to ``(entry, weight)``, so a
+query only scores the entries sharing a token with it. The score is the same
+float ``cosine`` computes over the dense vectors: the zero terms of the dense
+dot product and norms add exactly 0.0, so summing the nonzero terms in
+position order with ``sum()`` gives the same sums. Entries sharing no token
+score 0.0, and so does every entry for a query with no token in the
+vocabulary. The vocabulary and weights are derived from the truncated texts
+when an index is built or loaded; the file stores each truncated text as the
+length of its prefix of the record text, and only provider vectors.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +45,7 @@ from .core import (
 )
 from .gateway import GatewayError, post_json
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 class ProviderError(GatewayError):
@@ -54,20 +68,34 @@ class EmptyIndexError(SynthexError):
     """Nothing left to retrieve from after applying exclusions."""
 
 
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _norm(values) -> float:
+    return math.sqrt(_dot(values, values))
+
+
 def cosine(u: list[float], v: list[float]) -> float:
     """Standard cosine similarity over equal-dimension dense vectors."""
     if len(u) != len(v):
         raise DimensionMismatchError(f"dimensions differ: {len(u)} vs {len(v)}")
-    norm_u = math.sqrt(sum(x * x for x in u))
-    norm_v = math.sqrt(sum(x * x for x in v))
+    norm_u = _norm(u)
+    norm_v = _norm(v)
     if norm_u == 0.0 or norm_v == 0.0:
         raise ZeroVectorError("cosine undefined for a zero vector")
-    dot = sum(a * b for a, b in zip(u, v))
-    return dot / (norm_u * norm_v)
+    return _dot(u, v) / (norm_u * norm_v)
 
 
 def tokenize(text: str) -> list[str]:
     return normalize_surface(text).split()
+
+
+def _dense(terms, dim: int) -> list[float]:
+    vector = [0.0] * dim
+    for position, weight in terms:
+        vector[position] = weight
+    return vector
 
 
 class FallbackEmbedder:
@@ -88,19 +116,26 @@ class FallbackEmbedder:
     def dim(self) -> int:
         return len(self.vocabulary)
 
-    def embed(self, text: str) -> list[float]:
+    def terms(self, text: str) -> list[tuple[int, float]]:
+        """The nonzero ``(position, weight)`` pairs of ``embed(text)`` in
+        position order; empty when no token is in the vocabulary."""
         tokens = tokenize(text)
         if not tokens:
             raise EmptyTextError("cannot embed empty text")
-        counts = [0.0] * len(self.vocabulary)
+        counts: dict[int, float] = {}
         for token in tokens:
             position = self._positions.get(token)
             if position is not None:
-                counts[position] += 1.0
-        norm = math.sqrt(sum(c * c for c in counts))
-        if norm == 0.0:
+                counts[position] = counts.get(position, 0.0) + 1.0
+        positions = sorted(counts)
+        norm = _norm([counts[p] for p in positions])
+        return [(p, counts[p] / norm) for p in positions]
+
+    def embed(self, text: str) -> list[float]:
+        terms = self.terms(text)
+        if not terms:
             raise ZeroVectorError("no text token occurs in the index vocabulary")
-        return [c / norm for c in counts]
+        return _dense(terms, self.dim)
 
 
 class ProviderEmbedder:
@@ -125,12 +160,15 @@ class ProviderEmbedder:
                 api_key=self.api_key,
                 timeout=self.timeout,
             )
-            vector = json.loads(raw)["data"][0]["embedding"]
-        except (GatewayError, json.JSONDecodeError, KeyError, IndexError) as exc:
+            embedding = json.loads(raw)["data"][0]["embedding"]
+            vector = [float(x) for x in embedding] if isinstance(embedding, list) else []
+        except (GatewayError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
-        if not isinstance(vector, list) or not vector:
+        if not vector:
             raise ProviderError("embeddings endpoint returned no vector")
-        return [float(x) for x in vector]
+        if not any(vector):
+            raise ProviderError("embeddings endpoint returned a zero vector")
+        return vector
 
 
 @dataclass(frozen=True)
@@ -158,38 +196,98 @@ class ExclusionList:
 
 @dataclass(frozen=True)
 class DemoIndexEntry:
+    """One demonstration. A fallback entry keeps the nonzero ``(position,
+    weight)`` pairs of its vector in position order, a provider entry its
+    stored vector; ``norm`` is the norm ``cosine`` computes for ``vector``."""
+
     doc_id: str
     truncated_text: str
-    vector: tuple[float, ...]
     record: AnnotationRecord
+    dim: int
+    norm: float
+    terms: tuple[tuple[int, float], ...] = ()
+    stored_vector: tuple[float, ...] | None = None
+
+    @property
+    def vector(self) -> tuple[float, ...]:
+        if self.stored_vector is not None:
+            return self.stored_vector
+        return tuple(_dense(self.terms, self.dim))
 
 
 class DemoIndex:
-    """Immutable similarity index over a demonstration database."""
+    """Immutable similarity index over a demonstration database.
+
+    Built from the records, their truncated texts and, in provider mode, their
+    stored vectors; ``build_index`` and ``load`` both construct it here.
+    """
 
     def __init__(
         self,
         mode: str,
-        dim: int,
-        entries: list[DemoIndexEntry],
+        records: list[AnnotationRecord],
+        truncated_texts: list[str],
         min_words: int,
-        vocabulary: list[str] | None = None,
+        vectors: list[list[float]] | None = None,
     ):
         self.mode = mode
-        self.dim = dim
-        self.entries = list(entries)
         self.min_words = min_words
-        self.vocabulary = vocabulary
+        self.vocabulary: list[str] | None = None
+        if mode == "fallback":
+            self._embedder = FallbackEmbedder.from_texts(truncated_texts)
+            self.vocabulary = self._embedder.vocabulary
+            self.dim = self._embedder.dim
+            self.entries = []
+            self._postings: list[list[tuple[int, float]]] = [[] for _ in self.vocabulary]
+            for i, (record, text) in enumerate(zip(records, truncated_texts)):
+                terms = tuple(self._embedder.terms(text))
+                for position, weight in terms:
+                    self._postings[position].append((i, weight))
+                norm = _norm([weight for _, weight in terms])
+                self.entries.append(DemoIndexEntry(record.doc_id, text, record, self.dim, norm, terms=terms))
+        elif mode == "provider":
+            self.dim = len(vectors[0]) if vectors else 0
+            self.entries = []
+            for record, text, vector in zip(records, truncated_texts, vectors):
+                if len(vector) != self.dim:
+                    raise DimensionMismatchError(
+                        f"doc {record.doc_id}: vector dimension {len(vector)} != {self.dim}"
+                    )
+                norm = _norm(vector)
+                if norm == 0.0:
+                    raise ZeroVectorError(f"doc {record.doc_id}: zero vector")
+                self.entries.append(
+                    DemoIndexEntry(record.doc_id, text, record, self.dim, norm, stored_vector=tuple(vector))
+                )
+        else:
+            raise ValueError(f"unknown index mode {mode!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def query_embedder(self, embedder=None):
-        if self.mode == "fallback":
-            return FallbackEmbedder(self.vocabulary or [])
+    def _fallback_scores(self, text: str) -> dict[int, float]:
+        """Scores of the entries sharing a token with ``text``."""
+        terms = self._embedder.terms(text)
+        products = defaultdict(list)
+        for position, weight in terms:
+            for i, entry_weight in self._postings[position]:
+                products[i].append(weight * entry_weight)
+        query_norm = _norm([weight for _, weight in terms])
+        return {i: sum(p) / (query_norm * self.entries[i].norm) for i, p in products.items()}
+
+    def _provider_scores(self, text: str, embedder) -> dict[int, float]:
         if embedder is None:
             raise ValueError("a provider-mode index needs an embedder for queries")
-        return embedder
+        query = embedder.embed(text)
+        if len(query) != self.dim:
+            raise DimensionMismatchError(f"dimensions differ: {len(query)} vs {self.dim}")
+        query_norm = _norm(query)
+        if query_norm == 0.0:
+            raise ZeroVectorError("cosine undefined for a zero vector")
+        return {
+            i: _dot(query, entry.stored_vector) / (query_norm * entry.norm)
+            for i, entry in enumerate(self.entries)
+        }
 
     def retrieve_scored(
         self,
@@ -201,16 +299,21 @@ class DemoIndex:
         """The k most similar demonstrations with their cosine scores.
 
         The query is truncated exactly like the indexed texts. Ties break by
-        ascending doc id so retrieval is fully deterministic.
+        ascending doc id so retrieval is fully deterministic; entries sharing
+        no token with a fallback query score 0.0.
         """
         exclusions = exclusions or ExclusionList.empty()
-        candidates = [e for e in self.entries if e.doc_id not in exclusions]
+        candidates = [(i, e) for i, e in enumerate(self.entries) if e.doc_id not in exclusions]
         if not candidates:
             raise EmptyIndexError("no index entries remain after exclusions")
-        query_vector = self.query_embedder(embedder).embed(truncate_text(query_text, self.min_words))
-        scored = [(cosine(query_vector, list(e.vector)), e) for e in candidates]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].doc_id))
-        return [(entry.record, score) for score, entry in scored[:k]]
+        text = truncate_text(query_text, self.min_words)
+        if self.mode == "fallback":
+            scores = self._fallback_scores(text)
+        else:
+            scores = self._provider_scores(text, embedder)
+        scored = [(scores.get(i, 0.0), entry) for i, entry in candidates]
+        top = heapq.nsmallest(k, scored, key=lambda pair: (-pair[0], pair[1].doc_id))
+        return [(entry.record, score) for score, entry in top]
 
     def retrieve(
         self,
@@ -224,21 +327,17 @@ class DemoIndex:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path):
+        entries = []
+        for entry in self.entries:
+            item = {"truncated_chars": len(entry.truncated_text), "record": record_to_dict(entry.record)}
+            if entry.stored_vector is not None:
+                item["vector"] = list(entry.stored_vector)
+            entries.append(item)
         payload = {
             "version": INDEX_FORMAT_VERSION,
             "mode": self.mode,
-            "dim": self.dim,
             "min_words": self.min_words,
-            "vocabulary": self.vocabulary,
-            "entries": [
-                {
-                    "doc_id": e.doc_id,
-                    "truncated_text": e.truncated_text,
-                    "vector": list(e.vector),
-                    "record": record_to_dict(e.record),
-                }
-                for e in self.entries
-            ],
+            "entries": entries,
         }
         with atomic_writer(path) as fh:
             fh.write(json.dumps(payload, ensure_ascii=False))
@@ -247,22 +346,18 @@ class DemoIndex:
     def load(cls, path: str | Path) -> "DemoIndex":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if data.get("version") != INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version {data.get('version')!r}")
-        entries = [
-            DemoIndexEntry(
-                doc_id=e["doc_id"],
-                truncated_text=e["truncated_text"],
-                vector=tuple(e["vector"]),
-                record=record_from_dict(e["record"]),
+            raise ValueError(
+                f"unsupported index format version {data.get('version')!r}; "
+                f"rebuild the index with `synthex index`"
             )
-            for e in data["entries"]
-        ]
+        entries = data["entries"]
+        records = [record_from_dict(e["record"]) for e in entries]
         return cls(
             mode=data["mode"],
-            dim=data["dim"],
-            entries=entries,
+            records=records,
+            truncated_texts=[r.text[: e["truncated_chars"]] for r, e in zip(records, entries)],
             min_words=data["min_words"],
-            vocabulary=data.get("vocabulary"),
+            vectors=[e["vector"] for e in entries] if data["mode"] == "provider" else None,
         )
 
 
@@ -276,33 +371,8 @@ def build_index(
     build — a partial index would silently skew retrieval."""
     if not records:
         raise ValueError("cannot build an index over zero records")
+    if mode == "provider" and embedder is None:
+        raise ValueError("provider mode requires an embedder")
     truncated = [truncate_text(r.text, min_words) for r in records]
-    if mode == "fallback":
-        embedder = FallbackEmbedder.from_texts(truncated)
-        vocabulary = embedder.vocabulary
-    elif mode == "provider":
-        if embedder is None:
-            raise ValueError("provider mode requires an embedder")
-        vocabulary = None
-    else:
-        raise ValueError(f"unknown index mode {mode!r}")
-    entries = []
-    dim: int | None = None
-    for record, text in zip(records, truncated):
-        vector = embedder.embed(text)
-        if dim is None:
-            dim = len(vector)
-        elif len(vector) != dim:
-            raise DimensionMismatchError(
-                f"doc {record.doc_id}: vector dimension {len(vector)} != {dim}"
-            )
-        entries.append(
-            DemoIndexEntry(
-                doc_id=record.doc_id,
-                truncated_text=text,
-                vector=tuple(vector),
-                record=record,
-            )
-        )
-    assert dim is not None
-    return DemoIndex(mode=mode, dim=dim, entries=entries, min_words=min_words, vocabulary=vocabulary)
+    vectors = [embedder.embed(text) for text in truncated] if mode == "provider" else None
+    return DemoIndex(mode, records, truncated, min_words, vectors)

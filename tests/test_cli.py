@@ -17,6 +17,7 @@ from conftest import (
     completed_inference_json,
     good_annotation_response,
     params_for,
+    trivial_record,
 )
 
 MODEL = "test-model"
@@ -454,6 +455,50 @@ class TestIndexInferEval:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and "needs an embedder" in errors[0]
         assert not predictions_path.exists()
+
+    def test_infer_out_of_vocabulary_query_takes_lowest_eligible_demo(self, tmp_path, capsys):
+        from synthex.core import save_records
+
+        demos = [
+            trivial_record("d2", "Alpha beta gamma delta."),
+            trivial_record("d0", "Gamma delta epsilon."),
+            trivial_record("d1", "Beta beta alpha."),
+        ]
+        kept = tmp_path / "kept.jsonl"
+        save_records(demos, kept)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--dataset", str(kept), "--output", str(index_path)]) == 0
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_text("d0\n", encoding="utf-8")
+        # q1 shares most words with d2; q2 shares none with any demonstration,
+        # so it scores 0.0 everywhere and takes the lowest eligible doc id.
+        documents = [
+            ("q1", "Gamma delta alpha.\n\nOmega.", demos[0]),
+            ("q2", "Zeta eta theta.\n\nIota kappa.", demos[2]),
+        ]
+        for _, text, demo in documents:
+            word = text.split()[0]
+            _seed(tmp_path, build_inference_prompt(demo, None, text.split("\n")[0], SCHEMA), 0.0, "no reply")
+            _seed(tmp_path, build_inference_prompt(demo, None, text, SCHEMA), 0.0, completed_inference_json(
+                text, text.replace(word, f'<ent id="0" type="Person">{word}</ent>', 1),
+                [{"id": 0, "name": word, "type": "Person"}], [], SCHEMA,
+            ))
+        task = {
+            "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
+            "documents": [{"id": doc_id, "text": text} for doc_id, text, _ in documents],
+        }
+        task_path = tmp_path / "task.json"
+        task_path.write_text(json.dumps(task), encoding="utf-8")
+        predictions_path = tmp_path / "predictions.jsonl"
+        code = main([
+            "infer", "--task", str(task_path), "--index", str(index_path), "--output", str(predictions_path),
+            "--exclusions", str(exclusions), "--config", str(_write_config(tmp_path)),
+        ])
+        assert code == 0, capsys.readouterr().err
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"], p["provenance"]["demo_doc_id"]) for p in predictions] == [
+            ("q1", True, "d2"), ("q2", True, "d1"),
+        ]
 
     def test_eval_without_predictions(self, tmp_path, capsys):
         predictions = tmp_path / "preds.jsonl"

@@ -84,13 +84,17 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     status = 200
     scripted: list = []  # statuses for the next requests, before ``status``
     requests = 0
+    queued: list = []  # vectors for the next requests, before ``vector``
+    body = None  # a whole response body, sent instead of one built from ``vector``
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
         type(self).requests += 1
         status = self.scripted.pop(0) if self.scripted else self.status
-        payload = json.dumps({"data": [{"embedding": self.vector}]}).encode("utf-8")
+        vector = self.queued.pop(0) if self.queued else self.vector
+        body = {"data": [{"embedding": vector}]} if self.body is None else self.body
+        payload = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -107,11 +111,14 @@ def embed_server():
     _EmbedHandler.status = 200
     _EmbedHandler.scripted = []
     _EmbedHandler.requests = 0
+    _EmbedHandler.queued = []
+    _EmbedHandler.body = None
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -141,6 +148,26 @@ class TestProviderEmbedder:
         with pytest.raises(ProviderError, match="400"):
             embedder.embed("hello")
         assert _EmbedHandler.requests == 1
+
+    @pytest.mark.parametrize("body", [
+        [1, 2],
+        {"data": "vectors"},
+        {"data": 5},
+        {"data": [{"embedding": ["a", "b"]}]},
+        {"data": [{"embedding": [None, 1.0]}]},
+        {"data": [{"embedding": [[0.6], [0.8]]}]},
+    ])
+    def test_malformed_body(self, embed_server, body):
+        _EmbedHandler.body = body
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        with pytest.raises(ProviderError):
+            embedder.embed("hello")
+
+    def test_zero_vector(self, embed_server):
+        _EmbedHandler.vector = [0.0, 0.0]
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        with pytest.raises(ProviderError, match="zero"):
+            embedder.embed("hello")
 
 
 def _corpus(n: int, rng: random.Random, vocab=None):
@@ -263,3 +290,109 @@ class TestRetrieve:
         assert "doc1" in exclusions
         assert "doc2" in exclusions
         assert "doc3" not in exclusions
+
+
+def _zipf_text(rng: random.Random, words: list[str], weights: list[float], n_words: int) -> str:
+    """Sentences of 4-14 words drawn with probability proportional to 1/rank."""
+    drawn = rng.choices(words, weights=weights, k=n_words)
+    sentences = []
+    while drawn:
+        size = rng.randint(4, 14)
+        sentence, drawn = drawn[:size], drawn[size:]
+        sentences.append(" ".join([sentence[0].capitalize(), *sentence[1:], "."]))
+    return " ".join(sentences)
+
+
+def _dense_oracle(index: DemoIndex, vectors: list, query: str, excluded=frozenset(), k: int = 3):
+    """Cosine over the dense vectors of every eligible entry, ranked by score
+    descending, then doc id."""
+    query_vector = FallbackEmbedder(index.vocabulary).embed(truncate_text(query, index.min_words))
+    scored = [
+        (e.doc_id, cosine(query_vector, vector))
+        for e, vector in zip(index.entries, vectors)
+        if e.doc_id not in excluded
+    ]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+class TestSparseEquivalence:
+    """The posting-list scores equal the dense cosine scores bit for bit."""
+
+    def test_matches_dense_cosine(self, tmp_path):
+        rng = random.Random(606)
+        words = sorted({"".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 8))) for _ in range(200)})
+        rng.shuffle(words)
+        weights = [1.0 / rank for rank in range(1, len(words) + 1)]
+        records = [
+            trivial_record(f"doc{i:03d}", _zipf_text(rng, words, weights, rng.randint(10, 90)))
+            for i in rng.sample(range(300), 300)
+        ]
+        index = build_index(records, mode="fallback", min_words=40)
+        vectors = [list(e.vector) for e in index.entries]
+        exclusions = [frozenset(rng.sample([r.doc_id for r in records], 4)) for _ in range(5)]
+        queries = []
+        for q in range(500):
+            text = _zipf_text(rng, words + ["outside", "lexicon"], weights + [0.5, 0.5], rng.randint(3, 80))
+            queries.append((text, exclusions[q % 5] if q % 2 else frozenset()))
+        expected = [_dense_oracle(index, vectors, text, excluded) for text, excluded in queries]
+
+        path = tmp_path / "index.json"
+        index.save(path)
+        reloaded = DemoIndex.load(path)
+        again = tmp_path / "again.json"
+        reloaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        assert reloaded.vocabulary == index.vocabulary
+        for candidate in (index, reloaded):
+            got = [
+                [(r.doc_id, score) for r, score in candidate.retrieve_scored(text, ExclusionList(excluded), k=3)]
+                for text, excluded in queries
+            ]
+            assert got == expected
+
+    def test_zero_score_fill_in_doc_id_order(self):
+        records = [
+            trivial_record("e", "Red blue."),
+            trivial_record("c", "Green yellow."),
+            trivial_record("a", "Purple orange."),
+            trivial_record("d", "Yellow green green."),
+            trivial_record("b", "Black white."),
+        ]
+        index = build_index(records, mode="fallback")
+        vectors = [list(e.vector) for e in index.entries]
+        got = index.retrieve_scored("Green sky.", ExclusionList(frozenset({"a"})), k=4)
+        assert [(r.doc_id, s) for r, s in got] == _dense_oracle(index, vectors, "Green sky.", {"a"}, k=4)
+        assert [r.doc_id for r, _ in got] == ["c", "d", "b", "e"]
+        assert [s for _, s in got][2:] == [0.0, 0.0]
+
+    def test_out_of_vocabulary_query_scores_zero(self):
+        records = [trivial_record(i, "Alpha beta gamma delta.") for i in ("d2", "d0", "d1")]
+        index = build_index(records, mode="fallback")
+        got = index.retrieve_scored("Zeta eta theta.", ExclusionList(frozenset({"d0"})), k=3)
+        assert [(r.doc_id, s) for r, s in got] == [("d1", 0.0), ("d2", 0.0)]
+        with pytest.raises(EmptyTextError):
+            index.retrieve_scored("  ")
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({"version": 1, "mode": "fallback", "dim": 1, "min_words": 100,
+                                    "vocabulary": ["a"], "entries": []}), encoding="utf-8")
+        with pytest.raises(ValueError, match="rebuild the index with `synthex index`"):
+            DemoIndex.load(path)
+
+    def test_provider_scores_equal_cosine(self, embed_server, tmp_path):
+        vectors = [[0.6, 0.8, 0.0], [-1.0, 2.0, 0.5], [3.0, 0.1, -0.2], [0.6, 0.8, 0.0], [0.2, 0.2, 0.9]]
+        query = [0.3, 1.7, -0.4]
+        _EmbedHandler.queued = [list(v) for v in vectors]
+        _EmbedHandler.vector = query
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        index = build_index(_corpus(5, random.Random(3)), mode="provider", embedder=embedder)
+        expected = sorted(
+            ((f"doc{i:03d}", cosine(query, v)) for i, v in enumerate(vectors)), key=lambda p: (-p[1], p[0])
+        )
+        path = tmp_path / "index.json"
+        index.save(path)
+        for candidate in (index, DemoIndex.load(path)):
+            got = candidate.retrieve_scored("castle bridge", k=5, embedder=embedder)
+            assert [(r.doc_id, s) for r, s in got] == expected
+            assert [list(e.vector) for e in candidate.entries] == vectors
