@@ -54,6 +54,10 @@ ERROR_KINDS = (
     TRIPLE_NAME_MISMATCH,
 )
 
+# The generation protocol: one zero-shot attempt, then one rerun at a raised
+# temperature.
+TEMPERATURES = (0.0, 0.2)
+
 
 class MissingKeyError(SynthexError):
     def __init__(self, key: str):
@@ -479,16 +483,11 @@ class Annotator:
         gateway: ChatGateway,
         model_name: str,
         min_words: int = 100,
-        primary_temperature: float = 0.0,
-        retry_temperature: float = 0.2,
         max_tokens: int | None = None,
     ):
-        if retry_temperature <= primary_temperature:
-            raise ValueError("retry temperature must exceed the primary temperature")
         self.gateway = gateway
         self.model_name = model_name
         self.min_words = min_words
-        self.temperatures = (primary_temperature, retry_temperature)
         self.max_tokens = max_tokens
 
     def annotate(self, doc: SourceDocument) -> AnnotationRecord | FailureRecord:
@@ -501,7 +500,7 @@ class Annotator:
         truncated = truncate_text(doc.text, self.min_words)
         prompt = build_zero_shot_prompt(truncated)
         reports: list[VerificationReport] = []
-        for attempt, temperature in enumerate(self.temperatures, start=1):
+        for attempt, temperature in enumerate(TEMPERATURES, start=1):
             params = GenerationParams(
                 temperature=temperature, model_name=self.model_name, max_tokens=self.max_tokens
             )
@@ -516,7 +515,7 @@ class Annotator:
             if report.passed:
                 provenance = {
                     "attempt": attempt,
-                    "temperatures": list(self.temperatures[:attempt]),
+                    "temperatures": list(TEMPERATURES[:attempt]),
                     "retried": attempt > 1,
                 }
                 return raw_to_record(doc.id, truncated, raw, provenance)
@@ -525,7 +524,7 @@ class Annotator:
             text=truncated,
             word_count=word_count(truncated),
             reports=tuple(reports),
-            temperatures=self.temperatures,
+            temperatures=TEMPERATURES,
         )
 
 

@@ -1,10 +1,11 @@
 """Command-line pipeline orchestration.
 
 One subcommand per stage — ingest, generate, postprocess, stats, index,
-infer, eval — so any stage can be rerun in isolation. Every command writes a
+infer, eval — so any stage can be rerun in isolation. Each command takes only
+the flags it reads. ingest, generate, postprocess, index and infer write a
 run manifest (input/output content hashes plus a hash of the config fields
 that can change an artifact, so no endpoint, cache path or parallelism) next
-to its outputs; with a populated replay cache, identical manifests mean
+to their outputs; with a populated replay cache, identical manifests mean
 identical artifacts. Credentials travel only through environment variables,
 never flags, so they stay out of shell history and manifests.
 """
@@ -60,20 +61,15 @@ class RunConfig:
     chat_base_url: str = ""
     embed_base_url: str = ""
     embed_model: str = ""
-    primary_temperature: float = 0.0
-    retry_temperature: float = 0.2
     min_words: int = 100
     parallelism: int = 1
     cache_dir: str = ".synthex-cache"
     gateway_mode: str = "record"
     embedding_mode: str = "fallback"
     max_tokens: int | None = None
-    bucket_width: int = 25
     top_k: int = 30
 
     def validate(self):
-        if self.retry_temperature <= self.primary_temperature:
-            raise ValueError("retry_temperature must be greater than primary_temperature")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.gateway_mode not in ("record", "replay"):
@@ -145,18 +141,6 @@ class DatasetStats:
     top_relation_types: list = field(default_factory=list)
     yield_percent: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "documents": self.documents,
-            "entities": self.entities,
-            "entity_type_count": self.entity_type_count,
-            "triples": self.triples,
-            "relation_type_count": self.relation_type_count,
-            "top_entity_types": [[name, count] for name, count in self.top_entity_types],
-            "top_relation_types": [[name, count] for name, count in self.top_relation_types],
-            "yield_percent": self.yield_percent,
-        }
-
 
 def compute_dataset_stats(
     records: list[AnnotationRecord], top_k: int = 30, failure_count: int | None = None
@@ -219,6 +203,12 @@ def _report_gateway_errors(docs: list[SourceDocument], results: list[tuple]):
         print(f"{len(failed)} documents failed on gateway errors", file=sys.stderr)
 
 
+def _write_json(data, path: str | Path):
+    """Indented JSON plus a final newline, written atomically."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
+
+
 # --- commands ------------------------------------------------------------------
 
 def cmd_ingest(args, config: RunConfig) -> int:
@@ -251,8 +241,6 @@ def cmd_generate(args, config: RunConfig) -> int:
         gateway,
         model_name=config.model_name,
         min_words=config.min_words,
-        primary_temperature=config.primary_temperature,
-        retry_temperature=config.retry_temperature,
         max_tokens=config.max_tokens,
     )
     results = map_contained(annotator.annotate, corpus, config.parallelism)
@@ -267,7 +255,7 @@ def cmd_generate(args, config: RunConfig) -> int:
     stats_path = out_dir / "length_stats.csv"
     save_records(records, annotations_path)
     dump_jsonl((failure_to_dict(f) for f in failures), failures_path)
-    _write_length_stats(outcomes, stats_path, config.bucket_width)
+    _write_length_stats(outcomes, stats_path)
     write_manifest(out_dir, "generate", config, [args.corpus], [annotations_path, failures_path, stats_path])
 
     attempts = len(outcomes)
@@ -277,8 +265,8 @@ def cmd_generate(args, config: RunConfig) -> int:
     return 0
 
 
-def _write_length_stats(outcomes, path: Path, bucket_width: int):
-    rows = collect_length_stats(outcomes, bucket_width)
+def _write_length_stats(outcomes, path: Path):
+    rows = collect_length_stats(outcomes)
     with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["bucket", "attempts", *ERROR_KINDS])
@@ -311,9 +299,8 @@ def cmd_stats(args, config: RunConfig) -> int:
     if args.failures:
         failure_count = sum(1 for _ in load_jsonl(args.failures))
     stats = compute_dataset_stats(records, top_k=config.top_k, failure_count=failure_count)
-    payload = json.dumps(stats.to_dict(), indent=2, ensure_ascii=False)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        _write_json(asdict(stats), args.output)
     print(
         f"documents: {stats.documents}\n"
         f"entities: {stats.entities} across {stats.entity_type_count} entity types\n"
@@ -390,23 +377,19 @@ def cmd_eval(args, config: RunConfig) -> int:
         print(report.format_table())
         print()
     if args.output:
-        payload = {report.mode: report.to_dict() for report in reports}
-        Path(args.output).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        _write_json({report.mode: report.to_dict() for report in reports}, args.output)
     return 0
 
 
 # --- argument parsing ---------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="path to a JSON run-config file")
+def _add_model_call_flags(parser: argparse.ArgumentParser):
+    """Flags of the commands that call the model: generate, postprocess, infer."""
     parser.add_argument("--cache", help="chat-completion cache directory")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--replay", action="store_true", help="serve model calls from the cache only")
     mode.add_argument("--record", action="store_true", help="call the endpoint and cache responses")
     parser.add_argument("--parallelism", type=int, help="worker pool size")
-    parser.add_argument("--min-words", type=int, dest="min_words", help="truncation word bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,34 +403,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="normalize a raw corpus into corpus JSONL")
     p.add_argument("--input", required=True, help="JSONL file or directory of .txt files")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("generate", help="run phase-1 annotation over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_common(p)
+    p.add_argument("--min-words", type=int, dest="min_words", help="truncation word bound")
+    _add_model_call_flags(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("postprocess", help="verify triples and filter degenerate documents")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_common(p)
+    _add_model_call_flags(p)
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("stats", help="dataset statistics and type frequency tables")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--failures", help="failure sidecar JSONL for yield accounting")
+    p.add_argument(
+        "--failures",
+        help="failure sidecar JSONL; yield = documents in --dataset / (those + failure lines)",
+    )
     p.add_argument("--top-k", type=int, dest="top_k", help="frequency table size")
     p.add_argument("--output", help="write stats JSON here")
-    _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("index", help="build the demonstration similarity index")
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--embedding-mode", choices=["fallback", "provider"], dest="embedding_mode")
-    _add_common(p)
+    p.add_argument("--min-words", type=int, dest="min_words", help="truncation word bound")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("infer", help="two-call in-context extraction over a task file")
@@ -455,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--exclusions", help="newline-delimited doc ids to withhold from retrieval")
-    _add_common(p)
+    _add_model_call_flags(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against gold annotations")
@@ -464,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[MODE_ALL, MODE_VALID_ONLY], help="restrict to one mode")
     p.add_argument("--spans", action="store_true", help="match mentions on offsets instead of surfaces")
     p.add_argument("--output", help="write the report JSON here")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="path to a JSON run-config file")
     return parser
 
 
@@ -473,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.load(getattr(args, "config", None))
+        config = RunConfig.load(args.config)
         config.apply_flags(args)
         return args.func(args, config)
     except (SynthexError, OSError, ValueError, KeyError) as exc:

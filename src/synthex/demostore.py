@@ -138,17 +138,20 @@ class FallbackEmbedder:
         return _dense(terms, self.dim)
 
 
+# Seconds an embeddings request may take.
+EMBED_TIMEOUT = 60.0
+
+
 class ProviderEmbedder:
     """Client for an HTTP embeddings endpoint, under the chat gateway's retry
     policy."""
 
     mode = "provider"
 
-    def __init__(self, base_url: str, model_name: str, api_key: str = "", timeout: float = 60.0):
+    def __init__(self, base_url: str, model_name: str, api_key: str = ""):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = api_key
-        self.timeout = timeout
 
     def embed(self, text: str) -> list[float]:
         if not text.strip():
@@ -158,7 +161,7 @@ class ProviderEmbedder:
                 f"{self.base_url}/embeddings",
                 {"model": self.model_name, "input": text},
                 api_key=self.api_key,
-                timeout=self.timeout,
+                timeout=EMBED_TIMEOUT,
             )
             embedding = json.loads(raw)["data"][0]["embedding"]
             vector = [float(x) for x in embedding] if isinstance(embedding, list) else []

@@ -60,6 +60,8 @@ VERDICTS = ("A", "B", "C", "D")
 # Retry policy for every HTTP call: attempts, and the first backoff in seconds.
 MAX_RETRIES = 3
 BACKOFF = 0.5
+# Seconds a chat-completion request may take.
+CHAT_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,6 @@ class ChatGateway:
         mode: str = "record",
         base_url: str = "",
         api_key: str = "",
-        timeout: float = 120.0,
-        max_retries: int = MAX_RETRIES,
-        backoff: float = BACKOFF,
     ):
         if mode not in ("record", "replay"):
             raise ValueError(f"unknown gateway mode {mode!r}")
@@ -117,9 +116,6 @@ class ChatGateway:
         self.cache_dir = Path(cache_dir)
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
@@ -178,14 +174,7 @@ class ChatGateway:
         }
         if params.max_tokens is not None:
             body["max_tokens"] = params.max_tokens
-        raw = post_json(
-            f"{self.base_url}/chat/completions",
-            body,
-            api_key=self.api_key,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-        )
+        raw = post_json(f"{self.base_url}/chat/completions", body, api_key=self.api_key, timeout=CHAT_TIMEOUT)
         return self._parse_completion(raw)
 
     @staticmethod
@@ -200,29 +189,22 @@ class ChatGateway:
         return content
 
 
-def post_json(
-    url: str,
-    body: dict,
-    *,
-    api_key: str,
-    timeout: float,
-    max_retries: int = MAX_RETRIES,
-    backoff: float = BACKOFF,
-) -> str:
+def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
     """POST ``body`` as JSON and return the response text.
 
-    429 and 5xx answers and connection errors are retried with exponential
-    backoff; any other HTTP error raises :class:`EndpointError` at once, since
-    client errors will not improve on retry. Exhausted retries raise the last
-    :class:`EndpointError`, or :class:`TransportError` when the endpoint was
-    never reached.
+    429 and 5xx answers and connection errors are retried, for
+    :data:`MAX_RETRIES` attempts in all, with exponential backoff from
+    :data:`BACKOFF`; any other HTTP error raises :class:`EndpointError` at
+    once, since client errors will not improve on retry. Exhausted retries
+    raise the last :class:`EndpointError`, or :class:`TransportError` when
+    the endpoint was never reached.
     """
     payload = json.dumps(body).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     last_error: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -235,12 +217,12 @@ def post_json(
             last_error = error
         except (urllib.error.URLError, OSError) as exc:
             last_error = exc
-        if attempt + 1 < max_retries and backoff > 0:
-            time.sleep(backoff * (2**attempt))
+        if attempt + 1 < MAX_RETRIES:
+            time.sleep(BACKOFF * (2**attempt))
     if isinstance(last_error, EndpointError):
         raise last_error
     raise TransportError(
-        f"endpoint unreachable after {max_retries} attempts: {last_error}"
+        f"endpoint unreachable after {MAX_RETRIES} attempts: {last_error}"
     ) from last_error
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from .annotator import (
     MissingKeyError,
     RawAnnotation,
+    fill_template,
     parse_annotation_response,
     truncate_text,
     word_count,
@@ -115,10 +116,10 @@ def build_inference_prompt(
         "relation_types": list(schema.relation_types),
         "relations": [t.to_dict() for t in partial.triples] if partial else [],
     }
-    prompt = INFERENCE_TEMPLATE.replace(
-        "{demo_block}", json.dumps(demo_block, indent=4, ensure_ascii=False)
-    )
-    return prompt.replace("{query_block}", json.dumps(query_block, indent=4, ensure_ascii=False))
+    return fill_template(INFERENCE_TEMPLATE, {
+        "demo_block": json.dumps(demo_block, indent=4, ensure_ascii=False),
+        "query_block": json.dumps(query_block, indent=4, ensure_ascii=False),
+    })
 
 
 # A lone paragraph longer than this many words is too much for call 1.

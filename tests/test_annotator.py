@@ -364,11 +364,6 @@ class TestAnnotateDocument:
         record = Annotator(gateway, model_name=MODEL).annotate(doc)
         assert record.text == truncated
 
-    def test_retry_temperature_must_exceed_primary(self, tmp_path):
-        gateway = replay_gateway(tmp_path)
-        with pytest.raises(ValueError):
-            Annotator(gateway, model_name=MODEL, primary_temperature=0.2, retry_temperature=0.2)
-
     def test_mention_types_aligned_to_entity(self, tmp_path):
         # The tag says "Thing" but the entities list says "Topic"; the record
         # keeps the entity's label on the mention.

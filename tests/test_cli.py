@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from synthex.annotator import build_zero_shot_prompt
-from synthex.cli import RunConfig, compute_dataset_stats, main
+from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main
 from synthex.core import Schema, dump_jsonl, load_records, record_from_dict
 from synthex.demostore import ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
@@ -526,16 +527,38 @@ class TestIndexInferEval:
         assert code == 1
 
 
-class TestConfig:
-    def test_invalid_retry_temperature(self, tmp_path, capsys):
-        config = _write_config(tmp_path, retry_temperature=0.0)
-        corpus = _write_generate_fixture(tmp_path, n_good=1)
-        code = main(
-            ["generate", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o"), "--config", str(config)]
-        )
-        assert code == 1
-        assert "retry_temperature" in capsys.readouterr().err
+MODEL_CALL_FLAGS = {"--cache", "--replay", "--record", "--parallelism"}
 
+EXPECTED_FLAGS = {
+    "ingest": {"--input", "--output", "--config"},
+    "generate": {"--corpus", "--out-dir", "--min-words", "--config", *MODEL_CALL_FLAGS},
+    "postprocess": {"--annotations", "--out-dir", "--config", *MODEL_CALL_FLAGS},
+    "stats": {"--dataset", "--failures", "--top-k", "--output", "--config"},
+    "index": {"--dataset", "--output", "--embedding-mode", "--min-words", "--config"},
+    "infer": {"--task", "--index", "--output", "--exclusions", "--config", *MODEL_CALL_FLAGS},
+    "eval": {"--predictions", "--gold", "--mode", "--spans", "--output", "--config"},
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for action in command._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, command in sub.choices.items()
+        }
+        assert flags == EXPECTED_FLAGS
+        assert sum(len(names) for names in flags.values()) == 43
+
+    def test_flag_of_another_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--predictions", "p", "--gold", "g", "--parallelism", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
+
+
+class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"modell_name": "oops"}), encoding="utf-8")
@@ -544,8 +567,6 @@ class TestConfig:
 
     def test_flags_override_config(self, tmp_path):
         config = RunConfig.load(None)
-        import argparse
-
         args = argparse.Namespace(
             cache=str(tmp_path / "c"), replay=True, record=False, parallelism=4, min_words=50, top_k=None
         )

@@ -114,7 +114,7 @@ def embed_server():
     _EmbedHandler.queued = []
     _EmbedHandler.body = None
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
@@ -127,8 +127,9 @@ class TestProviderEmbedder:
         embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
         assert embedder.embed("hello") == [0.6, 0.8]
 
-    def test_provider_failure(self):
-        embedder = ProviderEmbedder(base_url="http://127.0.0.1:9", model_name="emb-1", timeout=0.5)
+    def test_provider_failure(self, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        embedder = ProviderEmbedder(base_url="http://127.0.0.1:9", model_name="emb-1")
         with pytest.raises(ProviderError):
             embedder.embed("hello")
 
@@ -136,7 +137,8 @@ class TestProviderEmbedder:
         with pytest.raises(EmptyTextError):
             ProviderEmbedder(base_url=embed_server, model_name="emb-1").embed(" ")
 
-    def test_transient_error_retried(self, embed_server):
+    def test_transient_error_retried(self, embed_server, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
         _EmbedHandler.scripted = [503]
         embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
         assert embedder.embed("hello") == [0.6, 0.8]

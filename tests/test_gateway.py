@@ -51,7 +51,7 @@ def stub_server():
     _ChatHandler.status = 200
     _ChatHandler.requests = []
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
@@ -161,27 +161,29 @@ class TestLiveTransport:
         offline = ChatGateway(cache_dir=tmp_path, mode="replay")
         assert offline.complete("ping", PARAMS) == "canned reply"
 
-    def test_server_error_retried_then_raised(self, stub_server, tmp_path):
+    def test_server_error_retried_then_raised(self, stub_server, tmp_path, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
         _ChatHandler.status = 500
-        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server, backoff=0.0)
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
         with pytest.raises(EndpointError, match="500"):
             gateway.complete("ping", PARAMS)
         assert len(_ChatHandler.requests) == 3  # transient status exhausted the retries
 
-    def test_client_error_not_retried(self, stub_server, tmp_path):
+    def test_client_error_not_retried(self, stub_server, tmp_path, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
         _ChatHandler.status = 400
-        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server, backoff=0.0)
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
         with pytest.raises(EndpointError, match="400"):
             gateway.complete("ping", PARAMS)
         assert len(_ChatHandler.requests) == 1
 
-    def test_unreachable_is_transport_error(self, tmp_path):
+    def test_unreachable_is_transport_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.MAX_RETRIES", 2)
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
         gateway = ChatGateway(
             cache_dir=tmp_path,
             mode="record",
             base_url="http://127.0.0.1:9",  # discard port, nothing listens
-            max_retries=2,
-            backoff=0.0,
         )
         with pytest.raises(TransportError):
             gateway.complete("ping", PARAMS)

@@ -17,7 +17,7 @@ from synthex.inference import (
     prediction_to_dict,
 )
 
-from conftest import params_for, replay_gateway
+from conftest import params_for, replay_gateway, trivial_record
 
 MODEL = "test-model"
 SCHEMA = Schema.from_lists(["Person", "Organization"], ["member_of", "founded_by"])
@@ -91,6 +91,18 @@ class TestBuildInferencePrompt:
         prompt = build_inference_prompt(uni_vienna_record, None, "q", SCHEMA)
         assert "Do not add any entity or relation types!" in prompt
         assert "reuse the entity ids" in prompt
+
+    def test_slot_literal_in_demonstration_kept_verbatim(self):
+        demo = trivial_record("d", "Use {query_block} here.")
+        query_text = "Mara Voss founded the Delta Observatory."
+        prompt = build_inference_prompt(demo, None, query_text, SCHEMA)
+        assert prompt.count(query_text) == 1
+        demo_block, query_block = _json_blocks(prompt)
+        assert demo_block["text"] == "Use {query_block} here."
+        assert demo_block["text_with_spans"] == demo.annotated_text
+        # Once in the demonstration's text, once in its annotated text.
+        assert prompt.count("{query_block}") == 2
+        assert query_block["text"] == query_text
 
 
 def _valid_prediction() -> Prediction:
