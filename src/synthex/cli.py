@@ -4,10 +4,11 @@ One subcommand per stage — ingest, generate, postprocess, stats, index,
 infer, eval — so any stage can be rerun in isolation. Each command takes only
 the flags it reads. ingest, generate, postprocess, index and infer write a
 run manifest (input/output content hashes plus a hash of the config fields
-that can change an artifact, so no endpoint, cache path or parallelism) next
-to their outputs; with a populated replay cache, identical manifests mean
-identical artifacts. Credentials travel only through environment variables,
-never flags, so they stay out of shell history and manifests.
+that command reads and that can change its artifacts, so no endpoint, cache
+path or parallelism) next to their outputs; with a populated replay cache,
+identical manifests mean identical artifacts. Credentials travel only
+through environment variables, never flags, so they stay out of shell
+history and manifests.
 """
 
 from __future__ import annotations
@@ -46,13 +47,22 @@ from .demostore import DemoIndex, ExclusionList, ProviderEmbedder, build_index
 from .evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate
 from .gateway import ChatGateway, map_contained
 from .inference import InferencePipeline, prediction_from_dict, prediction_to_dict
-from .postprocess import PostProcessor
+from .postprocess import STAGE_GATEWAY_ERROR, PostProcessor
 
 API_KEY_ENV = "SYNTHEX_API_KEY"
 CHAT_URL_ENV = "SYNTHEX_CHAT_BASE_URL"
 EMBED_URL_ENV = "SYNTHEX_EMBED_BASE_URL"
-# Deployment settings change where and how fast a run goes, never what it writes.
-UNHASHED_FIELDS = frozenset({"chat_base_url", "embed_base_url", "cache_dir", "parallelism"})
+# The config fields each manifest-writing command reads that can change what
+# it writes. Deployment settings (endpoints, cache path, parallelism) change
+# where and how fast a run goes, never what it writes, so none is listed.
+# infer truncates with the index's min_words, not the config's.
+HASHED_FIELDS = {
+    "ingest": (),
+    "generate": ("model_name", "min_words", "max_tokens", "gateway_mode"),
+    "postprocess": ("model_name", "max_tokens", "gateway_mode"),
+    "index": ("embedding_mode", "embed_model", "min_words"),
+    "infer": ("model_name", "max_tokens", "gateway_mode", "embedding_mode", "embed_model"),
+}
 
 
 @dataclass
@@ -107,8 +117,8 @@ class RunConfig:
                 setattr(self, flag, value)
         self.validate()
 
-    def config_hash(self) -> str:
-        hashed = {k: v for k, v in asdict(self).items() if k not in UNHASHED_FIELDS}
+    def config_hash(self, command: str) -> str:
+        hashed = {name: getattr(self, name) for name in HASHED_FIELDS[command]}
         canonical = json.dumps(hashed, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -185,7 +195,7 @@ def write_manifest(directory: str | Path, command: str, config: RunConfig, input
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "config_hash": config.config_hash(),
+        "config_hash": config.config_hash(command),
         "inputs": {str(p): _file_hash(p) for p in inputs},
         "outputs": {str(p): _file_hash(p) for p in outputs},
     }
@@ -194,9 +204,8 @@ def write_manifest(directory: str | Path, command: str, config: RunConfig, input
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _report_gateway_errors(docs: list[SourceDocument], results: list[tuple]):
-    """One stderr line per document lost to a failed model call, then the count."""
-    failed = [(doc.id, error) for doc, (_, error) in zip(docs, results) if error is not None]
+def _report_gateway_errors(failed: list[tuple]):
+    """One stderr line per ``(doc_id, error)`` lost to a failed model call, then the count."""
     for doc_id, error in failed:
         print(f"gateway error: {doc_id}: {error}", file=sys.stderr)
     if failed:
@@ -261,7 +270,7 @@ def cmd_generate(args, config: RunConfig) -> int:
     attempts = len(outcomes)
     yield_percent = 100.0 * len(records) / attempts if attempts else 0.0
     print(f"annotated {len(records)}/{attempts} documents, yield {yield_percent:.2f}%")
-    _report_gateway_errors(corpus, results)
+    _report_gateway_errors([(doc.id, error) for doc, (_, error) in zip(corpus, results) if error is not None])
     return 0
 
 
@@ -290,6 +299,7 @@ def cmd_postprocess(args, config: RunConfig) -> int:
     write_manifest(out_dir, "postprocess", config, [args.annotations], [kept_path, drops_path])
     dropped_docs = len(records) - len(kept)
     print(f"kept {len(kept)}/{len(records)} documents ({dropped_docs} dropped, {len(drop_log)} log entries)")
+    _report_gateway_errors([(e.doc_id, e.reason["error"]) for e in drop_log if e.stage == STAGE_GATEWAY_ERROR])
     return 0
 
 
@@ -362,7 +372,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     write_manifest(Path(args.output).parent, "infer", config, [args.task, args.index], [args.output])
     valid = sum(1 for p in predictions if p.valid)
     print(f"inferred {len(predictions)} documents, {valid} valid outputs")
-    _report_gateway_errors(docs, results)
+    _report_gateway_errors([(doc.id, error) for doc, (_, error) in zip(docs, results) if error is not None])
     return 0
 
 

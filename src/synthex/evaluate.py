@@ -37,6 +37,10 @@ class DuplicatePredictionError(SynthexError):
     pass
 
 
+class UnmatchedPredictionError(SynthexError):
+    """Predictions whose doc ids name no gold document."""
+
+
 class EmptyPredictionSetError(SynthexError):
     pass
 
@@ -249,7 +253,7 @@ def evaluate(
 
     Mention detection is skipped when a scored gold document has entities
     but no mention-level annotation (entity names only). Predictions must
-    carry distinct doc ids.
+    carry distinct doc ids, each naming a gold document.
     """
     if mode not in (MODE_ALL, MODE_VALID_ONLY):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -258,6 +262,9 @@ def evaluate(
         counts = Counter(p.doc_id for p in predictions)
         duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
         raise DuplicatePredictionError(f"duplicate prediction doc ids: {duplicates}")
+    unmatched = sorted(by_id.keys() - {g.doc_id for g in golds})
+    if unmatched:
+        raise UnmatchedPredictionError(f"prediction doc ids with no gold document: {unmatched}")
     tasks = dict.fromkeys(TASKS, TaskScore(0, 0, 0))
     mentions_annotated = True
     for gold_doc in golds:

@@ -130,6 +130,24 @@ class ChatGateway:
         self.store(prompt, params, text)
         return text
 
+    def complete_many(self, prompts: list[str], params: GenerationParams, parallelism: int) -> list[tuple]:
+        """One ``(text, None)`` or ``(None, GatewayError)`` per prompt, in input order.
+
+        Each distinct prompt's cache entry is read in the calling thread; the
+        distinct prompts without a usable entry each go through
+        :meth:`complete` once, on :func:`map_contained`'s pool.
+        """
+        answers: dict[str, tuple] = {}
+        uncached = []
+        for prompt in dict.fromkeys(prompts):
+            try:
+                answers[prompt] = self._read_cache(cache_key(prompt, params), prompt, params), None
+            except CacheMissError:
+                uncached.append(prompt)
+        fetched = map_contained(lambda prompt: self.complete(prompt, params), uncached, parallelism)
+        answers.update(zip(uncached, fetched))
+        return [answers[prompt] for prompt in prompts]
+
     def store(self, prompt: str, params: GenerationParams, response_text: str):
         """Write one exchange to the cache (also seeds fixtures and imports)."""
         key = cache_key(prompt, params)

@@ -21,7 +21,7 @@ from .core import (
     derive_relation_types,
     normalize_surface,
 )
-from .gateway import ChatGateway, GenerationParams, NoVerdictError, extract_boxed, map_contained
+from .gateway import ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed
 
 KEEP = "keep"
 INCONSISTENT = "inconsistent"
@@ -162,35 +162,53 @@ class PostProcessor:
             temperature=0.0, model_name=model_name, max_tokens=max_tokens
         )
 
-    def collect_verdicts(self, record: AnnotationRecord) -> list[TripleVerdict]:
-        """One model call per triple at temperature 0, no retry.
+    def collect_verdicts(
+        self, records: list[AnnotationRecord], parallelism: int = 1
+    ) -> list[tuple[list[TripleVerdict] | None, GatewayError | None]]:
+        """One model call per distinct verdict prompt at temperature 0, no retry.
 
-        A response without a parseable boxed verdict yields verdict None,
-        which adjudicates as inconsistent — unverifiable is unverified.
+        Returns ``(verdicts, None)`` per record in input order, or
+        ``(None, error)`` for a record with a failed call, carrying the error
+        of its failed triple with the lowest index. A response without a
+        parseable boxed verdict yields verdict None, which adjudicates as
+        inconsistent — unverifiable is unverified.
         """
-        verdicts = []
-        entities = list(record.entities)
-        for index, triple in enumerate(record.triples):
-            prompt = build_triple_verification_prompt(triple, entities)
-            response = self.gateway.complete(prompt, self.params)
-            try:
-                letter: str | None = extract_boxed(response)
-            except NoVerdictError:
-                letter = None
-            verdicts.append(TripleVerdict(doc_id=record.doc_id, index=index, verdict=letter))
-        return verdicts
+        prompts = [
+            build_triple_verification_prompt(triple, list(record.entities))
+            for record in records
+            for triple in record.triples
+        ]
+        answers = self.gateway.complete_many(prompts, self.params, parallelism)
+        collected = []
+        end = 0
+        for record in records:
+            start, end = end, end + len(record.triples)
+            doc_answers = answers[start:end]
+            failures = [error for _, error in doc_answers if error is not None]
+            if failures:
+                collected.append((None, failures[0]))
+                continue
+            verdicts = []
+            for index, (response, _) in enumerate(doc_answers):
+                try:
+                    letter: str | None = extract_boxed(response)
+                except NoVerdictError:
+                    letter = None
+                verdicts.append(TripleVerdict(doc_id=record.doc_id, index=index, verdict=letter))
+            collected.append((verdicts, None))
+        return collected
 
     def process(
         self, records: list[AnnotationRecord], parallelism: int = 1
     ) -> tuple[list[AnnotationRecord], list[DropLogEntry]]:
         """Verify, discard, and filter; returns kept records and the drop log.
 
-        Verdict collection runs across documents under a bounded worker pool;
-        decisions and outputs follow input order regardless of completion
-        order. Gateway failures are contained to the affected document: it is
-        dropped with a gateway_error entry and the run continues.
+        Verdict calls run under a bounded worker pool; decisions and outputs
+        follow input order regardless of completion order. Gateway failures
+        are contained to the affected document: it is dropped with a
+        gateway_error entry and the run continues.
         """
-        collected = map_contained(self.collect_verdicts, records, max(1, parallelism))
+        collected = self.collect_verdicts(records, max(1, parallelism))
         kept_records: list[AnnotationRecord] = []
         drop_log: list[DropLogEntry] = []
         for record, (verdicts, error) in zip(records, collected):

@@ -1,10 +1,13 @@
 """Shared fixtures: the University-of-Vienna sample record, record builders,
-and replay-gateway helpers."""
+replay-gateway helpers and a stub chat-completions endpoint."""
 
 from __future__ import annotations
 
 import json
 import random
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -244,3 +247,70 @@ def completed_inference_json(text, annotated, entities, relations, schema) -> st
         "relations": relations,
     }
     return "```json\n" + json.dumps(payload, ensure_ascii=False) + "\n```"
+
+
+class ChatStubHandler(BaseHTTPRequestHandler):
+    """Answers every chat request with ``content``, or with an error body
+    under ``status`` (or the prompt's entry in ``statuses``), after sleeping
+    ``delay`` seconds. Records each request and the peak number in flight."""
+
+    content = "canned reply"
+    status = 200
+    statuses: dict = {}
+    delay = 0.0
+    requests: list = []
+    in_flight = 0
+    peak_in_flight = 0
+    lock = threading.Lock()
+
+    def do_POST(self):
+        cls = type(self)
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length))
+        with cls.lock:
+            cls.requests.append((self.path, body, dict(self.headers)))
+            cls.in_flight += 1
+            cls.peak_in_flight = max(cls.peak_in_flight, cls.in_flight)
+        try:
+            time.sleep(cls.delay)
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+        status = cls.statuses.get(body["messages"][0]["content"], cls.status)
+        if status == 200:
+            payload = json.dumps(
+                {"choices": [{"message": {"role": "assistant", "content": cls.content}}]}
+            ).encode("utf-8")
+        else:
+            payload = b'{"error": "boom"}'
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def request_prompts() -> list[str]:
+    """The prompt of every request the stub endpoint received, in arrival order."""
+    return [body["messages"][0]["content"] for _, body, _ in ChatStubHandler.requests]
+
+
+@pytest.fixture
+def stub_server():
+    ChatStubHandler.content = "canned reply"
+    ChatStubHandler.status = 200
+    ChatStubHandler.statuses = {}
+    ChatStubHandler.delay = 0.0
+    ChatStubHandler.requests = []
+    ChatStubHandler.in_flight = ChatStubHandler.peak_in_flight = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ChatStubHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()

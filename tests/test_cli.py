@@ -1,13 +1,14 @@
 import argparse
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from synthex.annotator import build_zero_shot_prompt
-from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main
-from synthex.core import Schema, dump_jsonl, load_records, record_from_dict
+from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
+from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, save_records
 from synthex.demostore import ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import build_inference_prompt
@@ -191,8 +192,6 @@ class TestGenerate:
 class TestPostprocessCommand:
     def test_kept_and_drop_log(self, tmp_path, capsys, uni_vienna_record):
         annotations = tmp_path / "annotations.jsonl"
-        from synthex.core import save_records
-
         save_records([uni_vienna_record], annotations)
         gateway = ChatGateway(cache_dir=tmp_path / "cache", mode="replay")
         for triple in uni_vienna_record.triples:
@@ -211,6 +210,28 @@ class TestPostprocessCommand:
         drops = [json.loads(l) for l in (out_dir / "drops.jsonl").read_text().splitlines()]
         assert drops[0]["stage"] == "triple_verify"
         assert drops[0]["reason"]["predicates"] == ["home_of"]
+
+    def test_gateway_error_reported_on_stderr(self, tmp_path, capsys, uni_vienna_record):
+        annotations = tmp_path / "annotations.jsonl"
+        # Both documents ask the same verdict prompts; the last one is never cached.
+        save_records([uni_vienna_record, replace(uni_vienna_record, doc_id="copy")], annotations)
+        gateway = ChatGateway(cache_dir=tmp_path / "cache", mode="replay")
+        for triple in uni_vienna_record.triples[:-1]:
+            prompt = build_triple_verification_prompt(triple, list(uni_vienna_record.entities))
+            gateway.store(prompt, params_for(MODEL, 0.0), "\\boxed{A}")
+        out_dir = tmp_path / "post"
+        code = main(
+            ["postprocess", "--annotations", str(annotations), "--out-dir", str(out_dir),
+             "--config", str(_write_config(tmp_path))]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "kept 0/2 documents (2 dropped, 2 log entries)" in captured.out
+        errors = captured.err.splitlines()
+        assert [line.split(": no cached response")[0] for line in errors[:2]] == [
+            "gateway error: uni-vienna", "gateway error: copy",
+        ]
+        assert errors[2:] == ["2 documents failed on gateway errors"]
 
 
 class TestStatsCommand:
@@ -520,6 +541,16 @@ class TestIndexInferEval:
         assert code == 1
         assert "duplicate prediction doc ids: ['uni-vienna']" in capsys.readouterr().err
 
+    def test_eval_prediction_without_gold(self, tmp_path, capsys):
+        pred = {"doc_id": "uni-vienna", "valid": False, "raw_responses": ["", ""]}
+        predictions = tmp_path / "preds.jsonl"
+        dump_jsonl([pred, {**pred, "doc_id": "other"}], predictions)
+        gold = tmp_path / "gold.jsonl"
+        dump_jsonl([{**UNI_VIENNA_DICT, "doc_id": "uni-vienna"}], gold)
+        code = main(["eval", "--predictions", str(predictions), "--gold", str(gold)])
+        assert code == 1
+        assert "prediction doc ids with no gold document: ['other']" in capsys.readouterr().err
+
     def test_index_empty_dataset(self, tmp_path, capsys):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
@@ -564,6 +595,22 @@ class TestConfig:
         path.write_text(json.dumps({"modell_name": "oops"}), encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.load(str(path))
+
+    def test_manifest_hashes_only_the_fields_the_command_reads(self, tmp_path):
+        def config_hashes(**overrides):
+            hashes = {}
+            for command in ("ingest", "generate", "infer"):
+                write_manifest(tmp_path, command, RunConfig(**overrides), [], [])
+                manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text(encoding="utf-8"))
+                hashes[command] = manifest["config_hash"]
+            return hashes
+
+        base = config_hashes()
+        fewer_words = config_hashes(min_words=50)
+        assert fewer_words["ingest"] == base["ingest"]
+        assert fewer_words["infer"] == base["infer"]
+        assert fewer_words["generate"] != base["generate"]
+        assert config_hashes(model_name="other-model")["generate"] != base["generate"]
 
     def test_flags_override_config(self, tmp_path):
         config = RunConfig.load(None)

@@ -9,6 +9,7 @@ from synthex.evaluate import (
     DuplicatePredictionError,
     EmptyPredictionSetError,
     TaskScore,
+    UnmatchedPredictionError,
     evaluate,
     prf,
     valid_rate,
@@ -415,6 +416,13 @@ class TestEvaluateDriver:
         preds += [preds[2], prediction_from_record(golds[0], valid=False)]
         with pytest.raises(DuplicatePredictionError, match=r"\['doc0', 'doc2'\]"):
             evaluate(preds, golds)
+
+    def test_prediction_without_gold_rejected(self):
+        preds, golds = self._fixture(n_docs=3)
+        rng = random.Random(14)
+        extra = [prediction_from_record(make_passing_record(rng, doc_id)) for doc_id in ("extra1", "extra0")]
+        with pytest.raises(UnmatchedPredictionError, match=r"\['extra0', 'extra1'\]"):
+            evaluate(preds + extra, golds)
 
     def test_table_rendering(self):
         preds, golds = self._fixture()

@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -17,46 +16,10 @@ from synthex.gateway import (
     cache_key,
     extract_boxed,
     extract_json_block,
+    map_contained,
 )
 
-
-class _ChatHandler(BaseHTTPRequestHandler):
-    content = "canned reply"
-    status = 200
-    requests: list = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        type(self).requests.append((self.path, body, dict(self.headers)))
-        if self.status == 200:
-            payload = json.dumps(
-                {"choices": [{"message": {"role": "assistant", "content": self.content}}]}
-            ).encode("utf-8")
-        else:
-            payload = b'{"error": "boom"}'
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _ChatHandler.content = "canned reply"
-    _ChatHandler.status = 200
-    _ChatHandler.requests = []
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join()
+from conftest import ChatStubHandler, request_prompts
 
 
 PARAMS = GenerationParams(temperature=0.0, model_name="m1")
@@ -147,7 +110,7 @@ class TestLiveTransport:
     def test_stub_server_round_trip(self, stub_server, tmp_path):
         gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server, api_key="sk-test")
         assert gateway.complete("ping", PARAMS) == "canned reply"
-        path, body, headers = _ChatHandler.requests[0]
+        path, body, headers = ChatStubHandler.requests[0]
         assert path == "/chat/completions"
         assert body["model"] == "m1"
         assert body["temperature"] == 0.0
@@ -163,19 +126,19 @@ class TestLiveTransport:
 
     def test_server_error_retried_then_raised(self, stub_server, tmp_path, monkeypatch):
         monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
-        _ChatHandler.status = 500
+        ChatStubHandler.status = 500
         gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
         with pytest.raises(EndpointError, match="500"):
             gateway.complete("ping", PARAMS)
-        assert len(_ChatHandler.requests) == 3  # transient status exhausted the retries
+        assert len(ChatStubHandler.requests) == 3  # transient status exhausted the retries
 
     def test_client_error_not_retried(self, stub_server, tmp_path, monkeypatch):
         monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
-        _ChatHandler.status = 400
+        ChatStubHandler.status = 400
         gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
         with pytest.raises(EndpointError, match="400"):
             gateway.complete("ping", PARAMS)
-        assert len(_ChatHandler.requests) == 1
+        assert len(ChatStubHandler.requests) == 1
 
     def test_unreachable_is_transport_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr("synthex.gateway.MAX_RETRIES", 2)
@@ -218,7 +181,7 @@ class TestCacheIntegrity:
         gateway.store("ping", PARAMS, "stale")
         corrupt(tmp_path / f"{cache_key('ping', PARAMS)}.json")
         assert gateway.complete("ping", PARAMS) == "canned reply"
-        assert len(_ChatHandler.requests) == 1
+        assert len(ChatStubHandler.requests) == 1
         offline = ChatGateway(cache_dir=tmp_path, mode="replay")
         assert offline.complete("ping", PARAMS) == "canned reply"
 
@@ -242,6 +205,60 @@ class TestCacheIntegrity:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(CacheMissError, match="response_text"):
             gateway.complete("ping", PARAMS)
+
+
+class TestCompleteMany:
+    def test_one_fetch_per_distinct_uncached_prompt(self, stub_server, tmp_path):
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
+        gateway.store("cached", PARAMS, "stored")
+        results = gateway.complete_many(["ping", "cached", "pong", "ping"], PARAMS, parallelism=2)
+        assert results == [("canned reply", None), ("stored", None), ("canned reply", None), ("canned reply", None)]
+        assert sorted(request_prompts()) == ["ping", "pong"]
+
+    def test_replay_miss_costs_only_its_prompt(self, tmp_path):
+        gateway = ChatGateway(cache_dir=tmp_path, mode="replay")
+        gateway.store("cached", PARAMS, "stored")
+        (text, error), missed = gateway.complete_many(["cached", "never seen"], PARAMS, parallelism=2)
+        assert (text, error) == ("stored", None)
+        assert missed[0] is None and isinstance(missed[1], CacheMissError)
+
+
+class TestMapContained:
+    def test_results_in_input_order_when_later_items_finish_first(self):
+        finished = []
+        later_done = threading.Event()
+
+        def fn(item):
+            if item == 0:
+                later_done.wait(timeout=10)
+            finished.append(item)
+            if item == 2:
+                later_done.set()
+            return item * 10
+
+        results = map_contained(fn, [0, 1, 2], parallelism=2)
+        assert later_done.is_set()
+        assert finished == [1, 2, 0]
+        assert results == [(0, None), (10, None), (20, None)]
+
+    def test_gateway_error_costs_only_its_item(self):
+        def fn(item):
+            if item == "bad":
+                raise CacheMissError("no entry")
+            return item.upper()
+
+        results = map_contained(fn, ["a", "bad", "c"], parallelism=2)
+        assert results[0] == ("A", None) and results[2] == ("C", None)
+        assert results[1][0] is None and isinstance(results[1][1], CacheMissError)
+
+    def test_other_exception_propagates(self):
+        def fn(item):
+            if item == 1:
+                raise ValueError("not a model-call failure")
+            return item
+
+        with pytest.raises(ValueError, match="not a model-call failure"):
+            map_contained(fn, [0, 1, 2], parallelism=2)
 
 
 class TestExtractJsonBlock:

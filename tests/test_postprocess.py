@@ -3,6 +3,7 @@ import random
 import pytest
 
 from synthex.core import AnnotationRecord, Entity, Triple
+from synthex.gateway import ChatGateway, cache_key
 from synthex.postprocess import (
     INCONSISTENT,
     KEEP,
@@ -20,7 +21,7 @@ from synthex.postprocess import (
     filter_degenerate,
 )
 
-from conftest import make_passing_record, params_for, replay_gateway
+from conftest import ChatStubHandler, make_passing_record, params_for, replay_gateway, request_prompts
 
 MODEL = "test-model"
 
@@ -259,3 +260,66 @@ class TestPostProcessCorpus:
         kept, drop_log = PostProcessor(gateway, model_name=MODEL).process([record])
         assert kept[0].triples == ()  # entity-only records are retained
         assert drop_log[0].stage == STAGE_TRIPLE_VERIFY
+
+
+def _verdict_prompts(record) -> list[str]:
+    return [build_triple_verification_prompt(t, list(record.entities)) for t in record.triples]
+
+
+class TestVerdictScheduling:
+    """Verdict calls are made once per distinct prompt, across documents,
+    on the worker pool; a failed call costs its document and nothing else."""
+
+    @pytest.fixture
+    def record_processor(self, stub_server, tmp_path):
+        ChatStubHandler.content = "\\boxed{A}"
+        gateway = ChatGateway(cache_dir=tmp_path / "cache", mode="record", base_url=stub_server)
+        return PostProcessor(gateway, model_name=MODEL)
+
+    def test_one_request_per_distinct_prompt(self, record_processor):
+        ChatStubHandler.delay = 0.05  # both documents' shared prompt is in flight at once
+        first = _record_with_predicates("first", ["shared", "p1"])
+        second = _record_with_predicates("second", ["shared", "p2"])
+        repeat = _record_with_predicates("repeat", ["p3", "p3"])
+        kept, drop_log = record_processor.process([first, second, repeat], parallelism=2)
+        assert [r.doc_id for r in kept] == ["first", "second", "repeat"] and drop_log == []
+        distinct = set(_verdict_prompts(first) + _verdict_prompts(second) + _verdict_prompts(repeat))
+        assert len(distinct) == 4
+        assert sorted(request_prompts()) == sorted(distinct)
+
+    def test_one_document_uses_the_whole_pool(self, record_processor):
+        ChatStubHandler.delay = 0.05
+        record = _record_with_predicates("d", ["p1", "p2", "p3", "p4"])
+        kept, _ = record_processor.process([record], parallelism=2)
+        assert kept == [record]
+        assert len(ChatStubHandler.requests) == 4
+        assert ChatStubHandler.peak_in_flight == 2
+
+    def test_failed_verdict_does_not_skip_later_calls(self, record_processor, tmp_path):
+        record = _record_with_predicates("d", ["p1", "p2", "p3"])
+        other = _record_with_predicates("other", ["q1"])
+        failing, *later = _verdict_prompts(record)
+        ChatStubHandler.statuses = {failing: 400}
+        kept, drop_log = record_processor.process([record, other], parallelism=2)
+        assert [r.doc_id for r in kept] == ["other"]
+        assert [(e.doc_id, e.stage) for e in drop_log] == [("d", STAGE_GATEWAY_ERROR)]
+        assert "endpoint returned 400" in drop_log[0].reason["error"]
+        offline = ChatGateway(cache_dir=tmp_path / "cache", mode="replay")
+        assert [offline.complete(prompt, params_for(MODEL, 0.0)) for prompt in later] == ["\\boxed{A}"] * 2
+
+    @pytest.mark.parametrize("missing", [(1,), (1, 2)])
+    def test_replay_miss_drops_only_its_document(self, tmp_path, missing):
+        partial = _record_with_predicates("partial", ["p1", "p2", "p3"])
+        whole = _record_with_predicates("whole", ["q1"])
+        gateway = replay_gateway(tmp_path)
+        _seed_verdicts(gateway, whole, ["A"])
+        prompts = _verdict_prompts(partial)
+        for index, prompt in enumerate(prompts):
+            if index not in missing:
+                gateway.store(prompt, params_for(MODEL, 0.0), "\\boxed{A}")
+        kept, drop_log = PostProcessor(gateway, model_name=MODEL).process([partial, whole], parallelism=2)
+        assert [r.doc_id for r in kept] == ["whole"]
+        assert [(e.doc_id, e.stage) for e in drop_log] == [("partial", STAGE_GATEWAY_ERROR)]
+        # The error of the failed triple with the lowest index names the document's drop.
+        lowest = cache_key(prompts[missing[0]], params_for(MODEL, 0.0))
+        assert lowest[:12] in drop_log[0].reason["error"]
