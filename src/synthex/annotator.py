@@ -126,7 +126,10 @@ ABBREVIATIONS = frozenset(
     {"Mr.", "Mrs.", "Ms.", "Dr.", "Prof.", "St.", "No.", "vs.", "Jr.", "Sr."}
 )
 
-_TERMINATORS = ".!?"
+# A terminator and the whitespace run after it: the only places a sentence
+# can end before the end of the text. ``\s`` matches exactly the characters
+# ``str.isspace()`` accepts.
+_BREAK_CANDIDATE = re.compile(r"[.!?]\s+")
 
 
 def _is_abbreviation(token: str) -> bool:
@@ -136,44 +139,27 @@ def _is_abbreviation(token: str) -> bool:
     return len(token) == 2 and token[0].isupper() and token[1] == "."
 
 
+def _iter_sentence_spans(text: str):
+    """Sentence spans in order, scanning only as far as the caller reads."""
+    n = len(text)
+    start = n - len(text.lstrip())
+    for candidate in _BREAK_CANDIDATE.finditer(text, start):
+        i, k = candidate.start(), candidate.end()
+        if k < n and text[k].isupper() and not (text[i] == "." and _ends_with_abbreviation(text, i)):
+            yield start, i + 1
+            start = k
+    end = len(text.rstrip())
+    if end > start:
+        yield start, end
+
+
 def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Character spans of sentences, excluding surrounding whitespace.
 
     A boundary is a terminator (. ! ?) followed by whitespace and an
     uppercase letter, or end of text; abbreviations suppress the break.
     """
-    n = len(text)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    while start < n and text[start].isspace():
-        start += 1
-    i = start
-    while i < n:
-        c = text[i]
-        if c in _TERMINATORS:
-            j = i + 1
-            if j >= n:
-                spans.append((start, j))
-                return spans
-            if text[j].isspace():
-                k = j
-                while k < n and text[k].isspace():
-                    k += 1
-                if k >= n:
-                    spans.append((start, j))
-                    return spans
-                if text[k].isupper() and not (c == "." and _ends_with_abbreviation(text, i)):
-                    spans.append((start, j))
-                    start = k
-                    i = k
-                    continue
-        i += 1
-    end = n
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    if end > start:
-        spans.append((start, end))
-    return spans
+    return list(_iter_sentence_spans(text))
 
 
 def _ends_with_abbreviation(text: str, period_index: int) -> bool:
@@ -199,12 +185,13 @@ def truncate_text(text: str, min_words: int = 100) -> str:
 
     Sentences accumulate in order until the cumulative word count first
     reaches the bound; shorter texts come back unchanged. The result is
-    always an exact prefix of the input.
+    always an exact prefix of the input. Scanning stops at the sentence that
+    reaches the bound.
     """
     if min_words < 1:
         raise ValueError("min_words must be >= 1")
     total = 0
-    for a, b in sentence_spans(text):
+    for a, b in _iter_sentence_spans(text):
         total += word_count(text[a:b])
         if total >= min_words:
             return text[:b]

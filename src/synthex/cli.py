@@ -122,6 +122,14 @@ class RunConfig:
         canonical = json.dumps(hashed, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    def workers(self, embedder: ProviderEmbedder | None = None) -> int:
+        """Pool size for a model-calling stage. A replayed stage with no
+        provider embedder never waits on the network, so more threads would
+        only contend for the interpreter lock."""
+        if self.gateway_mode == "replay" and embedder is None:
+            return 1
+        return self.parallelism
+
     def make_gateway(self) -> ChatGateway:
         return ChatGateway(
             cache_dir=self.cache_dir,
@@ -252,7 +260,7 @@ def cmd_generate(args, config: RunConfig) -> int:
         min_words=config.min_words,
         max_tokens=config.max_tokens,
     )
-    results = map_contained(annotator.annotate, corpus, config.parallelism)
+    results = map_contained(annotator.annotate, corpus, config.workers())
     outcomes = [outcome for outcome, _ in results if outcome is not None]
     records = [o for o in outcomes if isinstance(o, AnnotationRecord)]
     failures = [o for o in outcomes if isinstance(o, FailureRecord)]
@@ -289,7 +297,7 @@ def cmd_postprocess(args, config: RunConfig) -> int:
     records = load_records(args.annotations)
     gateway = config.make_gateway()
     processor = PostProcessor(gateway, model_name=config.model_name, max_tokens=config.max_tokens)
-    kept, drop_log = processor.process(records, parallelism=config.parallelism)
+    kept, drop_log = processor.process(records, parallelism=config.workers())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kept_path = out_dir / "kept.jsonl"
@@ -358,15 +366,16 @@ def cmd_infer(args, config: RunConfig) -> int:
         raise SynthexError("task file contains no documents")
     index = DemoIndex.load(args.index)
     exclusions = ExclusionList.from_file(args.exclusions) if args.exclusions else None
+    embedder = config.make_embedder()
     pipeline = InferencePipeline(
         gateway=config.make_gateway(),
         index=index,
         model_name=config.model_name,
         exclusions=exclusions,
-        embedder=config.make_embedder(),
+        embedder=embedder,
         max_tokens=config.max_tokens,
     )
-    results = map_contained(lambda doc: pipeline.infer(doc, schema), docs, config.parallelism)
+    results = map_contained(lambda doc: pipeline.infer(doc, schema), docs, config.workers(embedder))
     predictions = [prediction for prediction, _ in results if prediction is not None]
     dump_jsonl((prediction_to_dict(p) for p in predictions), args.output)
     write_manifest(Path(args.output).parent, "infer", config, [args.task, args.index], [args.output])
@@ -399,7 +408,11 @@ def _add_model_call_flags(parser: argparse.ArgumentParser):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--replay", action="store_true", help="serve model calls from the cache only")
     mode.add_argument("--record", action="store_true", help="call the endpoint and cache responses")
-    parser.add_argument("--parallelism", type=int, help="worker pool size")
+    parser.add_argument(
+        "--parallelism",
+        type=int,
+        help="worker pool size (replay with no provider embeddings never waits on the network, so it uses one)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

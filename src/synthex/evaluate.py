@@ -219,20 +219,29 @@ def eval_relations(pred: _Side, gold: _Side) -> tuple[TaskScore, TaskScore]:
 
 @dataclass
 class EvalReport:
+    """Scores for one mode. ``valid_rate`` is over the predictions, so it
+    leaves out the ``missing_predictions`` gold documents that have none."""
+
     mode: str
     valid_rate: float
+    missing_predictions: int
     tasks: dict[str, TaskScore]
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "valid_rate": self.valid_rate,
+            "missing_predictions": self.missing_predictions,
             "tasks": {name: score.to_dict() for name, score in self.tasks.items()},
         }
 
     def format_table(self) -> str:
         header = f"{'Task':<16} {'P (%)':>8} {'R (%)':>8} {'F1 (%)':>8}"
-        lines = [f"mode: {self.mode}   valid outputs: {self.valid_rate:.2f}%", header, "-" * len(header)]
+        summary = (
+            f"mode: {self.mode}   valid outputs: {self.valid_rate:.2f}%"
+            f"   missing predictions: {self.missing_predictions}"
+        )
+        lines = [summary, header, "-" * len(header)]
         for name in TASKS:
             if name not in self.tasks:
                 continue
@@ -267,8 +276,10 @@ def evaluate(
         raise UnmatchedPredictionError(f"prediction doc ids with no gold document: {unmatched}")
     tasks = dict.fromkeys(TASKS, TaskScore(0, 0, 0))
     mentions_annotated = True
+    missing = 0
     for gold_doc in golds:
         pred_doc = by_id.get(gold_doc.doc_id)
+        missing += pred_doc is None
         if pred_doc is None or not pred_doc.valid:
             if mode == MODE_VALID_ONLY:
                 continue
@@ -287,4 +298,4 @@ def evaluate(
             tasks[task] += score
     if not mentions_annotated:
         del tasks["mention_det"]
-    return EvalReport(mode=mode, valid_rate=valid_rate(predictions), tasks=tasks)
+    return EvalReport(mode=mode, valid_rate=valid_rate(predictions), missing_predictions=missing, tasks=tasks)

@@ -245,8 +245,9 @@ def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
 
 
 def map_contained(fn, items, parallelism: int) -> list[tuple]:
-    """Run ``fn`` over ``items`` on ``parallelism`` threads, in input order.
-    Each item yields ``(result, None)``, or ``(None, exc)`` when it raised a
+    """Run ``fn`` over ``items`` on ``parallelism`` threads, in input order;
+    one worker runs them in the calling thread. Each item yields
+    ``(result, None)``, or ``(None, exc)`` when it raised a
     :class:`GatewayError`; any other exception propagates."""
 
     def contained(item):
@@ -255,6 +256,8 @@ def map_contained(fn, items, parallelism: int) -> list[tuple]:
         except GatewayError as exc:
             return None, exc
 
+    if parallelism == 1:
+        return [contained(item) for item in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(contained, items))
 

@@ -147,8 +147,10 @@ def _reanchor_mentions(
     """Re-locate mention surfaces in the full document by substring search.
 
     The echo check at inference is whitespace-relaxed, so parsed spans may be
-    slightly off; each mention is re-anchored strictly on its surface string.
-    Unanchorable mentions are dropped individually.
+    slightly off; each mention is re-anchored strictly on its surface string,
+    at its first occurrence after the previous anchored mention. A mention
+    with no such occurrence is dropped, so anchored spans are in order and
+    never overlap.
     """
     anchored: list[Mention] = []
     dropped = 0
@@ -156,13 +158,10 @@ def _reanchor_mentions(
     for m in mentions:
         index = text.find(m.surface, cursor)
         if index == -1:
-            index = text.find(m.surface)
-        if index == -1:
             dropped += 1
             continue
-        anchored.append(replace(m, span=Span(index, index + len(m.surface))))
-        if index >= cursor:
-            cursor = index + len(m.surface)
+        cursor = index + len(m.surface)
+        anchored.append(replace(m, span=Span(index, cursor)))
     return anchored, dropped
 
 

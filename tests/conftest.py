@@ -250,11 +250,13 @@ def completed_inference_json(text, annotated, entities, relations, schema) -> st
 
 
 class ChatStubHandler(BaseHTTPRequestHandler):
-    """Answers every chat request with ``content``, or with an error body
+    """Answers every chat request with ``content`` (or the request's
+    ``(prompt, temperature)`` entry in ``replies``), or with an error body
     under ``status`` (or the prompt's entry in ``statuses``), after sleeping
     ``delay`` seconds. Records each request and the peak number in flight."""
 
     content = "canned reply"
+    replies: dict = {}
     status = 200
     statuses: dict = {}
     delay = 0.0
@@ -276,10 +278,12 @@ class ChatStubHandler(BaseHTTPRequestHandler):
         finally:
             with cls.lock:
                 cls.in_flight -= 1
-        status = cls.statuses.get(body["messages"][0]["content"], cls.status)
+        prompt = body["messages"][0]["content"]
+        status = cls.statuses.get(prompt, cls.status)
         if status == 200:
+            content = cls.replies.get((prompt, body["temperature"]), cls.content)
             payload = json.dumps(
-                {"choices": [{"message": {"role": "assistant", "content": cls.content}}]}
+                {"choices": [{"message": {"role": "assistant", "content": content}}]}
             ).encode("utf-8")
         else:
             payload = b'{"error": "boom"}'
@@ -301,6 +305,7 @@ def request_prompts() -> list[str]:
 @pytest.fixture
 def stub_server():
     ChatStubHandler.content = "canned reply"
+    ChatStubHandler.replies = {}
     ChatStubHandler.status = 200
     ChatStubHandler.statuses = {}
     ChatStubHandler.delay = 0.0

@@ -1,21 +1,23 @@
 import argparse
 import json
 import shutil
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from synthex.annotator import build_zero_shot_prompt
+from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
 from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, save_records
 from synthex.demostore import ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
-from synthex.inference import build_inference_prompt
+from synthex.inference import InferencePipeline, build_inference_prompt
 from synthex.postprocess import build_triple_verification_prompt
 
 from conftest import (
     UNI_VIENNA_DICT,
+    ChatStubHandler,
     completed_inference_json,
     good_annotation_response,
     params_for,
@@ -569,6 +571,51 @@ EXPECTED_FLAGS = {
     "infer": {"--task", "--index", "--output", "--exclusions", "--config", *MODEL_CALL_FLAGS},
     "eval": {"--predictions", "--gold", "--mode", "--spans", "--output", "--config"},
 }
+
+
+class TestWorkerChoice:
+    def test_record_run_uses_the_pool_and_matches_replay(self, tmp_path, stub_server):
+        corpus = _write_generate_fixture(tmp_path, n_good=6, n_retry=1, n_fail=1)
+        replay_dir, record_dir = tmp_path / "replay", tmp_path / "record"
+        base = ["generate", "--corpus", str(corpus), "--parallelism", "4", "--config"]
+        assert main(base + [str(_write_config(tmp_path)), "--out-dir", str(replay_dir)]) == 0
+
+        entries = [json.loads(p.read_text(encoding="utf-8")) for p in (tmp_path / "cache").glob("*.json")]
+        ChatStubHandler.replies = {(e["prompt"], e["temperature"]): e["response_text"] for e in entries}
+        ChatStubHandler.delay = 0.05
+        record_config = _write_config(
+            tmp_path, gateway_mode="record", cache_dir=str(tmp_path / "record-cache"), chat_base_url=stub_server
+        )
+        assert main(base + [str(record_config), "--out-dir", str(record_dir)]) == 0
+        for name in ("annotations.jsonl", "failures.jsonl", "length_stats.csv"):
+            assert (record_dir / name).read_bytes() == (replay_dir / name).read_bytes()
+        assert len(ChatStubHandler.requests) == len(entries) == 10
+        assert ChatStubHandler.peak_in_flight > 1
+
+    def test_replayed_stages_run_in_the_calling_thread(self, tmp_path, monkeypatch, uni_vienna_record):
+        threads = []
+
+        def recording_thread(method):
+            def wrapper(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Annotator, "annotate", recording_thread(Annotator.annotate))
+        monkeypatch.setattr(InferencePipeline, "infer", recording_thread(InferencePipeline.infer))
+        corpus = _write_generate_fixture(tmp_path, n_good=3, n_fail=1)
+        # The second query has no cached exchange, so it fails contained.
+        task_path, index_path = _setup_infer_fixture(
+            tmp_path, uni_vienna_record, [{"id": "q2", "text": "An unseen query."}]
+        )
+        config = ["--parallelism", "4", "--config", str(_write_config(tmp_path))]
+        generate = ["generate", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]
+        assert main(generate + config) == 0
+        infer = ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(tmp_path / "p.jsonl")]
+        assert main(infer + config) == 0
+        assert len(threads) == 6
+        assert set(threads) == {threading.main_thread()}
 
 
 class TestFlags:

@@ -424,6 +424,18 @@ class TestEvaluateDriver:
         with pytest.raises(UnmatchedPredictionError, match=r"\['extra0', 'extra1'\]"):
             evaluate(preds + extra, golds)
 
+    def test_unpredicted_gold_document_counted(self):
+        preds, golds = self._fixture(n_docs=4, invalid_fraction=0.25)
+        del preds[2]  # a document lost in infer has no prediction at all
+        for mode in (MODE_ALL, MODE_VALID_ONLY):
+            report = evaluate(preds, golds, mode=mode)
+            assert report.missing_predictions == 1
+            assert report.to_dict()["missing_predictions"] == 1
+            assert "missing predictions: 1" in report.format_table().splitlines()[0]
+            # The validity rate is over the predictions only.
+            assert report.valid_rate == pytest.approx(200 / 3)
+        assert evaluate(preds, golds).tasks["entity_ident"].fn == 2 * len(golds[0].entities)
+
     def test_table_rendering(self):
         preds, golds = self._fixture()
         table = evaluate(preds, golds).format_table()

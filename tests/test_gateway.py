@@ -261,6 +261,25 @@ class TestMapContained:
             map_contained(fn, [0, 1, 2], parallelism=2)
 
 
+    def test_one_worker_runs_in_the_calling_thread(self):
+        threads = []
+
+        def fn(item):
+            threads.append(threading.current_thread())
+            if item == "bad":
+                raise CacheMissError("no entry")
+            if item == "boom":
+                raise ValueError("not a model-call failure")
+            return item.upper()
+
+        results = map_contained(fn, ["a", "bad", "c"], parallelism=1)
+        assert results[0] == ("A", None) and results[2] == ("C", None)
+        assert results[1][0] is None and isinstance(results[1][1], CacheMissError)
+        assert threads == [threading.current_thread()] * 3
+        with pytest.raises(ValueError, match="not a model-call failure"):
+            map_contained(fn, ["a", "boom", "c"], parallelism=1)
+
+
 class TestExtractJsonBlock:
     def test_fenced_block(self):
         assert extract_json_block('text ```json\n{"a": 1}\n``` tail') == '{"a": 1}'

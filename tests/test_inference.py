@@ -3,13 +3,14 @@ import re
 
 import pytest
 
-from synthex.annotator import truncate_text, word_count
+from synthex.annotator import RawAnnotation, truncate_text, word_count
 from synthex.core import Entity, Schema, SourceDocument, Triple
 from synthex.demostore import build_index
 from synthex.inference import (
     InferencePipeline,
     PartialAnnotation,
     Prediction,
+    _prediction_from_raw,
     build_inference_prompt,
     enforce_schema,
     first_fragment,
@@ -330,6 +331,23 @@ class TestInferDocument:
         assert [e.name for e in prediction.entities] == ["Alice Rivera", "Harbor Institute"]
         assert len(prediction.triples) == 1  # Bob's membership triple went with him
         assert prediction.provenance["schema_drops"]["entities"] == 1
+
+
+class TestReanchorMentions:
+    def test_mention_without_a_forward_match_is_dropped(self):
+        # The echo's first mention swaps the space for a newline, so its only
+        # strict match is the second occurrence; the second mention then has
+        # no match left at or after the cursor.
+        doc = SourceDocument(id="d", text="New York is big. I love New\nYork.")
+        echo = (
+            '<ent id="0" type="City">New\nYork</ent> is big. '
+            'I love <ent id="0" type="City">New\nYork</ent>.'
+        )
+        raw = RawAnnotation(echo, (Entity(0, "New York", "City"),), (), (), ("City",))
+        prediction = _prediction_from_raw(doc, raw, ("", ""))
+        assert prediction.valid
+        assert [(m.span.start, m.span.end) for m in prediction.mentions] == [(24, 32)]
+        assert prediction.provenance["mentions_dropped"] == 1
 
 
 class TestPredictionPersistence:

@@ -1,14 +1,16 @@
 """Property tests: every JSON codec round-trips its type exactly, through the
 persisted JSON text; rendering then parsing inline markup is lossless or
-refused; sentence splitting, truncation and JSON extraction keep their
-invariants on adversarial text."""
+refused; sentence splitting, truncation, mention re-anchoring and JSON
+extraction keep their invariants on adversarial text; the sentence scanner
+agrees with a character-by-character reference."""
 
 import json
+import random
 import re
 
 from hypothesis import given, settings, strategies as st
 
-from synthex.annotator import sentence_spans, truncate_text, word_count
+from synthex.annotator import _is_abbreviation, sentence_spans, truncate_text, word_count
 from synthex.core import (
     AnnotationRecord,
     Entity,
@@ -20,7 +22,7 @@ from synthex.core import (
     record_from_dict,
     record_to_dict,
 )
-from synthex.inference import Prediction, prediction_from_dict, prediction_to_dict
+from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
 from synthex.gateway import (
     NoJsonFoundError,
     ResponseSyntaxError,
@@ -146,15 +148,96 @@ def test_markup_render_refuses_or_round_trips(case):
     assert parse_annotated(rendered) == (text, found)
 
 
-# Words, sentence terminators, abbreviations and assorted whitespace.
+# Words, sentence terminators, abbreviations and assorted whitespace,
+# including separators only ``str.isspace()`` knows (\x1c, \x85, \u2028) and
+# a non-ASCII capital.
 prose = st.lists(
     st.one_of(
-        st.sampled_from(["Alpha", "beta", "Mr.", "J.", "No.", "3.5", "end.", "Why?", "Yes!", ".", "?!", "x"]),
-        st.sampled_from([" ", "  ", "\n", "\n\n", "\t", "\u00a0", "\u2003"]),
+        st.sampled_from(
+            ["Alpha", "beta", "Mr.", "J.", "No.", "3.5", "end.", "Why?", "Yes!", ".", "?!", "x", "É", "Élan."]
+        ),
+        st.sampled_from([" ", "  ", "\n", "\n\n", "\t", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028"]),
         st.text(max_size=4),
     ),
     max_size=40,
 ).map("".join)
+
+
+def reference_sentence_spans(text: str) -> list[tuple[int, int]]:
+    """The character-by-character scanner the regex scanner replaced."""
+    n = len(text)
+    spans: list[tuple[int, int]] = []
+    start = 0
+    while start < n and text[start].isspace():
+        start += 1
+    i = start
+    while i < n:
+        c = text[i]
+        if c in ".!?":
+            j = i + 1
+            if j >= n:
+                spans.append((start, j))
+                return spans
+            if text[j].isspace():
+                k = j
+                while k < n and text[k].isspace():
+                    k += 1
+                if k >= n:
+                    spans.append((start, j))
+                    return spans
+                if text[k].isupper() and not (c == "." and _reference_ends_with_abbreviation(text, i)):
+                    spans.append((start, j))
+                    start = k
+                    i = k
+                    continue
+        i += 1
+    end = n
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if end > start:
+        spans.append((start, end))
+    return spans
+
+
+def _reference_ends_with_abbreviation(text: str, period_index: int) -> bool:
+    w = period_index
+    while w > 0 and not text[w - 1].isspace():
+        w -= 1
+    return _is_abbreviation(text[w : period_index + 1])
+
+
+def reference_truncate_text(text: str, min_words: int) -> str:
+    total = 0
+    for a, b in reference_sentence_spans(text):
+        total += word_count(text[a:b])
+        if total >= min_words:
+            return text[:b]
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(prose)
+def test_sentence_spans_match_the_reference(text):
+    assert sentence_spans(text) == reference_sentence_spans(text)
+
+
+@PROPERTY_SETTINGS
+@given(prose, prose, st.integers(min_value=1, max_value=30))
+def test_truncate_text_matches_the_reference(head, tail, min_words):
+    # The tail is text after the kept prefix whenever the head alone is long enough.
+    text = head + tail
+    assert truncate_text(text, min_words) == reference_truncate_text(text, min_words)
+
+
+def test_long_text_truncates_like_the_reference():
+    rng = random.Random(7)
+    words = ["Alpha", "beta", "Mr.", "J.", "No.", "3.5", "end.", "Why?", "Yes!", "É", "Élan.", "gamma", "delta"]
+    separators = [" ", " ", " ", "\n", "\u00a0", "\x85"]
+    text = "".join(rng.choice(words) + rng.choice(separators) for _ in range(20000))
+    assert word_count(text) >= 19000
+    assert sentence_spans(text) == reference_sentence_spans(text)
+    for min_words in (1, 100, 5000):
+        assert truncate_text(text, min_words) == reference_truncate_text(text, min_words)
 
 
 @PROPERTY_SETTINGS
@@ -175,6 +258,22 @@ def test_truncate_text_is_a_long_enough_prefix(text, min_words):
     truncated = truncate_text(text, min_words)
     assert text.startswith(truncated)
     assert truncated == text or word_count(truncated) >= min_words
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.text(alphabet="ab \n", max_size=30),
+    st.lists(st.text(alphabet="ab \n", min_size=1, max_size=4), max_size=8),
+)
+def test_reanchored_mentions_are_ordered_and_disjoint(text, surfaces):
+    mentions = [Mention(i, Span(0, len(s)), s, "T") for i, s in enumerate(surfaces)]
+    anchored, dropped = _reanchor_mentions(mentions, text)
+    assert len(anchored) + dropped == len(mentions)
+    assert [m.entity_id for m in anchored] == sorted(m.entity_id for m in anchored)
+    cursor = 0
+    for m in anchored:
+        assert cursor <= m.span.start and text[m.span.start : m.span.end] == m.surface
+        cursor = m.span.end
 
 
 # Braces, quotes, backslashes and fences: the characters JSON extraction scans for.
