@@ -17,7 +17,6 @@ from .core import (
     AnnotationRecord,
     Entity,
     SourceDocument,
-    SynthexError,
     Triple,
     derive_entity_types,
     derive_relation_types,
@@ -26,8 +25,8 @@ from .core import (
 from .gateway import (
     ChatGateway,
     GenerationParams,
-    NoJsonFoundError,
     ResponseSyntaxError,
+    UnreadableResponseError,
     extract_json_block,
 )
 from .markup import MarkupError, parse_annotated
@@ -59,7 +58,7 @@ ERROR_KINDS = (
 TEMPERATURES = (0.0, 0.2)
 
 
-class MissingKeyError(SynthexError):
+class MissingKeyError(UnreadableResponseError):
     def __init__(self, key: str):
         super().__init__(f"annotation response is missing key {key!r}")
         self.key = key
@@ -288,12 +287,18 @@ def _require(condition: bool, key: str):
 def parse_annotation_response(response: str) -> RawAnnotation:
     """Extract and shape-check the annotation JSON from a model response.
 
-    Raises :class:`ResponseSyntaxError`/:class:`NoJsonFoundError` when no
-    strict JSON can be recovered and :class:`MissingKeyError` when the object
-    lacks a required key or an element is malformed.
+    Raises an :class:`UnreadableResponseError`:
+    :class:`ResponseSyntaxError`/:class:`NoJsonFoundError` when no strict JSON
+    can be recovered and :class:`MissingKeyError` when the object lacks a
+    required key or an element is malformed.
     """
     block = extract_json_block(response)
-    data = json.loads(block)
+    try:
+        data = json.loads(block)
+    except RecursionError as exc:
+        # The recursion limit counts stack frames, so this decode can overflow
+        # at a nesting depth that extract_json_block's own decode passed.
+        raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
     _require(isinstance(data, dict), "text_with_spans")
 
     text_with_spans = _lookup(data, "text_with_spans")
@@ -428,7 +433,7 @@ def _describe_echo_mismatch(expected: str, got: str) -> str:
     return f"diverges at offset {i}: source {expected[i : i + 20]!r} vs echo {got[i : i + 20]!r}"
 
 
-def _parse_stage_report(exc: SynthexError) -> VerificationReport:
+def _parse_stage_report(exc: UnreadableResponseError) -> VerificationReport:
     if isinstance(exc, MissingKeyError):
         return VerificationReport(errors=(Finding(MISSING_KEY, exc.key),))
     return VerificationReport(errors=(Finding(SYNTAX_ERROR, str(exc)),))
@@ -494,7 +499,7 @@ class Annotator:
             response = self.gateway.complete(prompt, params)
             try:
                 raw = parse_annotation_response(response)
-            except (MissingKeyError, ResponseSyntaxError, NoJsonFoundError) as exc:
+            except UnreadableResponseError as exc:
                 reports.append(_parse_stage_report(exc))
                 continue
             report = verify_annotation(raw, truncated)

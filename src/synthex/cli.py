@@ -55,14 +55,18 @@ EMBED_URL_ENV = "SYNTHEX_EMBED_BASE_URL"
 # The config fields each manifest-writing command reads that can change what
 # it writes. Deployment settings (endpoints, cache path, parallelism) change
 # where and how fast a run goes, never what it writes, so none is listed.
-# infer truncates with the index's min_words, not the config's.
+# infer truncates and embeds queries as its index does, so it reads neither
+# min_words nor embedding_mode.
 HASHED_FIELDS = {
     "ingest": (),
     "generate": ("model_name", "min_words", "max_tokens", "gateway_mode"),
     "postprocess": ("model_name", "max_tokens", "gateway_mode"),
     "index": ("embedding_mode", "embed_model", "min_words"),
-    "infer": ("model_name", "max_tokens", "gateway_mode", "embedding_mode", "embed_model"),
+    "infer": ("model_name", "max_tokens", "gateway_mode", "embed_model"),
 }
+# The JSON values a config file may give each field, by its annotation; a
+# bool is never accepted, though Python counts it as an int.
+CONFIG_VALUE_TYPES = {"str": str, "int": int, "int | None": (int, type(None))}
 
 
 @dataclass
@@ -92,11 +96,15 @@ class RunConfig:
         config = cls()
         if path:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-            known = {f.name for f in fields(cls)}
-            unknown = set(data) - known
+            if not isinstance(data, dict):
+                raise ValueError("a config file holds one JSON object")
+            types = {f.name: f.type for f in fields(cls)}
+            unknown = set(data) - set(types)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
             for key, value in data.items():
+                if isinstance(value, bool) or not isinstance(value, CONFIG_VALUE_TYPES[types[key]]):
+                    raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
                 setattr(config, key, value)
         if os.environ.get(CHAT_URL_ENV):
             config.chat_base_url = os.environ[CHAT_URL_ENV]
@@ -138,8 +146,8 @@ class RunConfig:
             api_key=os.environ.get(API_KEY_ENV, ""),
         )
 
-    def make_embedder(self) -> ProviderEmbedder | None:
-        if self.embedding_mode != "provider":
+    def make_embedder(self, mode: str) -> ProviderEmbedder | None:
+        if mode != "provider":
             return None
         return ProviderEmbedder(
             base_url=self.embed_base_url,
@@ -344,7 +352,7 @@ def cmd_index(args, config: RunConfig) -> int:
     index = build_index(
         records,
         mode=config.embedding_mode,
-        embedder=config.make_embedder(),
+        embedder=config.make_embedder(config.embedding_mode),
         min_words=config.min_words,
     )
     index.save(args.output)
@@ -364,9 +372,12 @@ def cmd_infer(args, config: RunConfig) -> int:
     ]
     if not docs:
         raise SynthexError("task file contains no documents")
+    duplicates = sorted(doc_id for doc_id, n in Counter(d.id for d in docs).items() if n > 1)
+    if duplicates:
+        raise ValueError(f"duplicate document ids {duplicates} in task file")
     index = DemoIndex.load(args.index)
     exclusions = ExclusionList.from_file(args.exclusions) if args.exclusions else None
-    embedder = config.make_embedder()
+    embedder = config.make_embedder(index.mode)
     pipeline = InferencePipeline(
         gateway=config.make_gateway(),
         index=index,

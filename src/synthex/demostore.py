@@ -165,7 +165,7 @@ class ProviderEmbedder:
             )
             embedding = json.loads(raw)["data"][0]["embedding"]
             vector = [float(x) for x in embedding] if isinstance(embedding, list) else []
-        except (GatewayError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (GatewayError, RecursionError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
         if not vector:
             raise ProviderError("embeddings endpoint returned no vector")
@@ -283,7 +283,7 @@ class DemoIndex:
             raise ValueError("a provider-mode index needs an embedder for queries")
         query = embedder.embed(text)
         if len(query) != self.dim:
-            raise DimensionMismatchError(f"dimensions differ: {len(query)} vs {self.dim}")
+            raise ProviderError(f"query vector dimension {len(query)} != index dimension {self.dim}")
         query_norm = _norm(query)
         if query_norm == 0.0:
             raise ZeroVectorError("cosine undefined for a zero vector")

@@ -43,11 +43,16 @@ class CacheMissError(GatewayError):
     pass
 
 
-class NoJsonFoundError(SynthexError):
+class UnreadableResponseError(SynthexError):
+    """A model response yields no usable JSON object: bad model content, not a
+    failed call, so it counts against yield and validity."""
+
+
+class NoJsonFoundError(UnreadableResponseError):
     pass
 
 
-class ResponseSyntaxError(SynthexError):
+class ResponseSyntaxError(UnreadableResponseError):
     """A JSON candidate was found but does not parse as strict JSON."""
 
 
@@ -170,7 +175,7 @@ class ChatGateway:
             data = json.loads((self.cache_dir / f"{key}.json").read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise CacheMissError(f"no cached response for key {key[:12]}…") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CacheMissError(f"cache entry {key[:12]}… does not parse: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("response_text"), str):
             raise CacheMissError(f"cache entry {key[:12]}… has no response_text")
@@ -200,7 +205,7 @@ class ChatGateway:
         try:
             data = json.loads(raw)
             content = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"malformed completion response: {raw[:200]!r}") from exc
         if not isinstance(content, str):
             raise EndpointError(f"completion content is not text: {content!r}")
@@ -266,55 +271,31 @@ def map_contained(fn, items, parallelism: int) -> list[tuple]:
 
 _JSON_FENCE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
+_DECODER = json.JSONDecoder()
 
 
 def extract_json_block(response: str) -> str:
     """Pull the JSON payload out of a model response.
 
     Prefers the first fenced block labeled ``json``; otherwise takes the first
-    brace-balanced substring starting at the first ``{``. The result must
+    object the stdlib decoder reads from the first ``{``. The result must
     parse as strict JSON — single-quoted pseudo-JSON is a syntax error, not
-    something to repair.
+    something to repair, and so is nesting too deep for the decoder.
     """
     fence = _JSON_FENCE.search(response)
-    if fence is not None:
-        candidate = fence.group(1).strip()
-    else:
+    try:
+        if fence is not None:
+            candidate = fence.group(1).strip()
+            json.loads(candidate)
+            return candidate
         start = response.find("{")
         if start == -1:
             raise NoJsonFoundError("response contains no JSON object")
-        candidate = _balanced_candidate(response, start)
-        if candidate is None:
-            raise ResponseSyntaxError("unbalanced braces in JSON candidate")
-    try:
-        json.loads(candidate)
-    except json.JSONDecodeError as exc:
+        # Decoding the slice keeps error positions relative to the candidate.
+        _, end = _DECODER.raw_decode(response[start:])
+        return response[start : start + end]
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
-    return candidate
-
-
-def _balanced_candidate(text: str, start: int) -> str | None:
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        c = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1]
-    return None
 
 
 def extract_boxed(response: str) -> str:

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .annotator import (
-    MissingKeyError,
     RawAnnotation,
     fill_template,
     parse_annotation_response,
@@ -34,12 +33,7 @@ from .core import (
     split_paragraphs,
 )
 from .demostore import DemoIndex, ExclusionList
-from .gateway import (
-    ChatGateway,
-    GenerationParams,
-    NoJsonFoundError,
-    ResponseSyntaxError,
-)
+from .gateway import ChatGateway, GenerationParams, UnreadableResponseError
 from .markup import MarkupError, parse_annotated
 
 
@@ -273,7 +267,7 @@ class InferencePipeline:
         responses = (response_1, response_2)
         try:
             raw = parse_annotation_response(response_2)
-        except (MissingKeyError, ResponseSyntaxError, NoJsonFoundError) as exc:
+        except UnreadableResponseError as exc:
             return _invalid(doc.id, responses, f"parse: {exc}")
         prediction = _prediction_from_raw(doc, raw, responses)
         if prediction is None:
@@ -287,7 +281,7 @@ class InferencePipeline:
         starts from an empty annotation."""
         try:
             raw = parse_annotation_response(response)
-        except (MissingKeyError, ResponseSyntaxError, NoJsonFoundError):
+        except UnreadableResponseError:
             return None
         return PartialAnnotation(fragment, raw.text_with_spans, raw.entities, raw.triples)
 

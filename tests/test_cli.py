@@ -173,6 +173,21 @@ class TestGenerate:
         assert "1 documents failed on gateway errors" in captured.err
         assert "annotated 2/2 documents, yield 100.00%" in captured.out
 
+    def test_deeply_nested_response_is_a_syntax_error(self, tmp_path, capsys):
+        corpus = _write_generate_fixture(tmp_path, n_good=2)
+        prompt = build_zero_shot_prompt(_corpus_doc(1)["text"])
+        for temperature in (0.0, 0.2):
+            _seed(tmp_path, prompt, temperature, '{"text_with_spans": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        out_dir = tmp_path / "out"
+        config = _write_config(tmp_path)
+        code = main(["generate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--config", str(config)])
+        assert code == 0
+        assert [r.doc_id for r in load_records(out_dir / "annotations.jsonl")] == ["doc0"]
+        failures = [json.loads(line) for line in (out_dir / "failures.jsonl").read_text().splitlines()]
+        assert [f["doc_id"] for f in failures] == ["doc1"]
+        assert [[e["kind"] for e in a["errors"]] for a in failures[0]["attempts"]] == [["syntax_error"]] * 2
+        assert "annotated 1/2 documents, yield 50.00%" in capsys.readouterr().out
+
     def test_manifest_ignores_deployment_settings(self, tmp_path):
         corpus = _write_generate_fixture(tmp_path, n_good=2)
         shutil.copytree(tmp_path / "cache", tmp_path / "other-cache")
@@ -469,15 +484,56 @@ class TestIndexInferEval:
         errors = capsys.readouterr().err.splitlines()
         assert errors == ["gateway error: q2: embeddings endpoint failed: 503", "1 documents failed on gateway errors"]
 
-    def test_infer_provider_index_without_embedder_fails(self, tmp_path, capsys, uni_vienna_record):
+    def test_infer_embeds_queries_in_the_index_mode(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        queries = []
+        monkeypatch.setattr(ProviderEmbedder, "embed", lambda self, text: queries.append(text) or [1.0, 0.5])
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "provider-index.json"
-        stub = type("Stub", (), {"embed": lambda self, text: [1.0, 0.5]})()
-        build_index([uni_vienna_record], mode="provider", embedder=stub).save(index_path)
+        build_index([uni_vienna_record], mode="provider", embedder=ProviderEmbedder("", "emb")).save(index_path)
         code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
-        assert code == 1
+        assert code == 0
+        assert len(queries) == 2  # the demonstration, then the query
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"]) for p in predictions] == [("q1", True)]
+        assert capsys.readouterr().err == ""
+
+    def test_infer_contains_query_vector_of_another_length(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        monkeypatch.setattr(
+            ProviderEmbedder, "embed", lambda self, text: [1.0, 0.5, 0.0] if "visited" in text else [1.0, 0.5]
+        )
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
+        index_path = tmp_path / "provider-index.json"
+        build_index([uni_vienna_record], mode="provider", embedder=ProviderEmbedder("", "emb")).save(index_path)
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 0
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"]) for p in predictions] == [("q1", True)]
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 1 and "needs an embedder" in errors[0]
+        assert errors == [
+            "gateway error: q2: query vector dimension 3 != index dimension 2",
+            "1 documents failed on gateway errors",
+        ]
+
+    def test_infer_deeply_nested_responses_cost_one_prediction(self, tmp_path, capsys, uni_vienna_record):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        nested = '{"text_with_spans": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        fragment = "Mara Voss founded the Delta Observatory long ago."
+        _seed(tmp_path, build_inference_prompt(uni_vienna_record, None, fragment, SCHEMA), 0.0, nested)
+        _seed(tmp_path, build_inference_prompt(uni_vienna_record, None, QUERY_TEXT, SCHEMA), 0.0, nested)
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 0
+        [prediction] = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert prediction["doc_id"] == "q1" and not prediction["valid"]
+        assert "inferred 1 documents, 0 valid outputs" in capsys.readouterr().out
+
+    def test_infer_rejects_duplicate_document_ids(self, tmp_path, capsys, uni_vienna_record):
+        duplicates = [{"id": "q1", "text": "Mara Voss visited."}, {"id": "q2", "text": "x"}, {"id": "q2", "text": "y"}]
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record, duplicates)
+        # In record mode with no endpoint, a model call would fail its document, not the run.
+        config = _write_config(tmp_path, gateway_mode="record")
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, config)
+        assert code == 1
+        assert capsys.readouterr().err == "error: duplicate document ids ['q1', 'q2'] in task file\n"
         assert not predictions_path.exists()
 
     def test_infer_out_of_vocabulary_query_takes_lowest_eligible_demo(self, tmp_path, capsys):
@@ -658,6 +714,25 @@ class TestConfig:
         assert fewer_words["infer"] == base["infer"]
         assert fewer_words["generate"] != base["generate"]
         assert config_hashes(model_name="other-model")["generate"] != base["generate"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("parallelism", "4"),
+        ("min_words", True),
+        ("max_tokens", 1.5),
+        ("model_name", 3),
+        ("cache_dir", None),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert main(["stats", "--dataset", str(tmp_path / "missing.jsonl"), "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+
+    def test_max_tokens_takes_an_integer_or_null(self, tmp_path):
+        path = tmp_path / "config.json"
+        for value in (256, None):
+            path.write_text(json.dumps({"max_tokens": value}), encoding="utf-8")
+            assert RunConfig.load(str(path)).max_tokens == value
 
     def test_flags_override_config(self, tmp_path):
         config = RunConfig.load(None)

@@ -85,7 +85,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     scripted: list = []  # statuses for the next requests, before ``status``
     requests = 0
     queued: list = []  # vectors for the next requests, before ``vector``
-    body = None  # a whole response body, sent instead of one built from ``vector``
+    body = None  # a whole response body (a string is sent as is), instead of one built from ``vector``
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -94,7 +94,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         status = self.scripted.pop(0) if self.scripted else self.status
         vector = self.queued.pop(0) if self.queued else self.vector
         body = {"data": [{"embedding": vector}]} if self.body is None else self.body
-        payload = json.dumps(body).encode("utf-8")
+        payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -158,6 +158,7 @@ class TestProviderEmbedder:
         {"data": [{"embedding": ["a", "b"]}]},
         {"data": [{"embedding": [None, 1.0]}]},
         {"data": [{"embedding": [[0.6], [0.8]]}]},
+        pytest.param("[" * 100_000, id="nested"),
     ])
     def test_malformed_body(self, embed_server, body):
         _EmbedHandler.body = body
@@ -381,6 +382,14 @@ class TestSparseEquivalence:
                                     "vocabulary": ["a"], "entries": []}), encoding="utf-8")
         with pytest.raises(ValueError, match="rebuild the index with `synthex index`"):
             DemoIndex.load(path)
+
+    def test_query_vector_of_another_length_is_a_provider_error(self, embed_server):
+        _EmbedHandler.queued = [[0.6, 0.8], [0.8, 0.6]]
+        _EmbedHandler.vector = [0.6, 0.8, 0.0]
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        index = build_index(_corpus(2, random.Random(3)), mode="provider", embedder=embedder)
+        with pytest.raises(ProviderError, match="query vector dimension 3 != index dimension 2"):
+            index.retrieve("castle bridge", embedder=embedder)
 
     def test_provider_scores_equal_cosine(self, embed_server, tmp_path):
         vectors = [[0.6, 0.8, 0.0], [-1.0, 2.0, 0.5], [3.0, 0.1, -0.2], [0.6, 0.8, 0.0], [0.2, 0.2, 0.9]]

@@ -4,15 +4,18 @@ import threading
 
 import pytest
 
+from synthex.annotator import MissingKeyError
 from synthex.gateway import (
     CacheMissError,
     ChatGateway,
     EndpointError,
+    GatewayError,
     GenerationParams,
     NoJsonFoundError,
     NoVerdictError,
     ResponseSyntaxError,
     TransportError,
+    UnreadableResponseError,
     cache_key,
     extract_boxed,
     extract_json_block,
@@ -151,6 +154,10 @@ class TestLiveTransport:
         with pytest.raises(TransportError):
             gateway.complete("ping", PARAMS)
 
+    def test_deeply_nested_completion_body_is_endpoint_error(self):
+        with pytest.raises(EndpointError, match="malformed completion response"):
+            ChatGateway._parse_completion("[" * 100_000)
+
     def test_live_mode_without_endpoint(self, tmp_path):
         gateway = ChatGateway(cache_dir=tmp_path, mode="record")  # empty cache, no endpoint
         with pytest.raises(TransportError, match="no endpoint"):
@@ -167,7 +174,15 @@ def _change_prompt(path):
     path.write_text(json.dumps(data), encoding="utf-8")
 
 
-CORRUPTIONS = {"truncated": (_truncate_entry, "does not parse"), "other prompt": (_change_prompt, "prompt")}
+def _nest_entry(path):
+    path.write_text("[" * 100_000, encoding="utf-8")
+
+
+CORRUPTIONS = {
+    "truncated": (_truncate_entry, "does not parse"),
+    "other prompt": (_change_prompt, "prompt"),
+    "nested": (_nest_entry, "does not parse"),
+}
 
 
 class TestCacheIntegrity:
@@ -301,6 +316,11 @@ class TestExtractJsonBlock:
     def test_single_quotes_are_not_tolerated(self):
         with pytest.raises(ResponseSyntaxError):
             extract_json_block("{'a': 1}")
+
+    def test_unreadable_responses_share_one_error_type(self):
+        for error in (NoJsonFoundError, ResponseSyntaxError, MissingKeyError):
+            assert issubclass(error, UnreadableResponseError)
+        assert not issubclass(UnreadableResponseError, GatewayError)
 
     def test_fenced_block_with_bad_json(self):
         with pytest.raises(ResponseSyntaxError):

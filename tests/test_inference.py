@@ -294,6 +294,12 @@ class TestInferDocument:
         assert prediction.mentions == ()
         assert prediction.triples == ()
 
+    def test_deeply_nested_call2_yields_invalid(self, tmp_path, uni_vienna_record):
+        exchanges, _ = self._seed_two_calls(tmp_path, uni_vienna_record, '{"a": ' + "[" * 100_000)
+        prediction = _pipeline(tmp_path, uni_vienna_record, exchanges).infer(DOC, SCHEMA)
+        assert not prediction.valid
+        assert prediction.provenance["invalid_reason"].startswith("parse: candidate is not strict JSON")
+
     def test_echo_failure_yields_invalid(self, tmp_path, uni_vienna_record):
         bad = _call2_response().replace("Years later", "Decades later")
         exchanges, _ = self._seed_two_calls(tmp_path, uni_vienna_record, bad)
@@ -319,6 +325,17 @@ class TestInferDocument:
         prediction = _pipeline(tmp_path, uni_vienna_record, exchanges).infer(DOC, SCHEMA)
         assert prediction.valid
         assert len(prediction.entities) == 3
+
+    def test_deeply_nested_call1_is_not_a_gate(self, tmp_path, uni_vienna_record):
+        fragment, _ = _call1_response()
+        prompt1 = build_inference_prompt(uni_vienna_record, None, fragment, SCHEMA)
+        prompt2 = build_inference_prompt(uni_vienna_record, None, DOC.text, SCHEMA)
+        exchanges = [
+            (prompt1, params_for(MODEL, 0.0), "```json\n" + "[" * 100_000 + "]" * 100_000 + "\n```"),
+            (prompt2, params_for(MODEL, 0.0), _call2_response()),
+        ]
+        prediction = _pipeline(tmp_path, uni_vienna_record, exchanges).infer(DOC, SCHEMA)
+        assert prediction.valid
 
     def test_off_schema_type_removed(self, tmp_path, uni_vienna_record):
         response = _call2_response().replace(

@@ -2,13 +2,14 @@
 persisted JSON text; rendering then parsing inline markup is lossless or
 refused; sentence splitting, truncation, mention re-anchoring and JSON
 extraction keep their invariants on adversarial text; the sentence scanner
-agrees with a character-by-character reference."""
+agrees with a character-by-character reference, and JSON extraction with a
+brace-scanner reference."""
 
 import json
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synthex.annotator import _is_abbreviation, sentence_spans, truncate_text, word_count
 from synthex.core import (
@@ -23,12 +24,7 @@ from synthex.core import (
     record_to_dict,
 )
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
-from synthex.gateway import (
-    NoJsonFoundError,
-    ResponseSyntaxError,
-    _balanced_candidate,
-    extract_json_block,
-)
+from synthex.gateway import NoJsonFoundError, ResponseSyntaxError, extract_json_block
 from synthex.markup import MarkupError, parse_annotated, render_annotated
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -297,21 +293,78 @@ def test_extract_json_block_refuses_or_returns_json(response):
     json.loads(block)
 
 
-_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
-
-
-@PROPERTY_SETTINGS
-@given(adversarial.filter(lambda t: "{" in t), st.data())
-def test_balanced_candidate_starts_at_start_and_balances(text, data):
-    start = data.draw(st.sampled_from([i for i, c in enumerate(text) if c == "{"]))
-    candidate = _balanced_candidate(text, start)
-    if candidate is None:
-        return
-    assert text[start : start + len(candidate)] == candidate
-    outside = _JSON_STRING.sub("", candidate)
-    assert '"' not in outside
+def _balanced_candidate(text: str, start: int) -> str | None:
     depth = 0
-    for i, c in enumerate(outside):
-        depth += {"{": 1, "}": -1}.get(c, 0)
-        assert depth > 0 or i == len(outside) - 1
-    assert depth == 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        c = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start : i + 1]
+    return None
+
+
+def scanned_json_block(response: str) -> str:
+    """Reference for extract_json_block: a per-character brace scanner finds
+    where the object from the first ``{`` ends, then ``json.loads`` checks it."""
+    fence = re.search(r"```json\s*\n(.*?)```", response, re.DOTALL)
+    if fence is not None:
+        candidate = fence.group(1).strip()
+    else:
+        start = response.find("{")
+        if start == -1:
+            raise NoJsonFoundError("response contains no JSON object")
+        candidate = _balanced_candidate(response, start)
+        if candidate is None:
+            raise ResponseSyntaxError("unbalanced braces in JSON candidate")
+    try:
+        json.loads(candidate)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
+    return candidate
+
+
+def outcome(fn, response):
+    try:
+        return fn(response), None, None
+    except (NoJsonFoundError, ResponseSyntaxError) as exc:
+        return None, type(exc), str(exc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+# Serialized objects cut at a random point and wrapped in adversarial noise.
+json_objects = st.dictionaries(st.text(max_size=4), json_values, max_size=3).map(json.dumps)
+embedded_json = st.tuples(adversarial, json_objects, st.integers(0, 80), adversarial).map(
+    lambda t: t[0] + t[1][: t[2]] + t[3]
+)
+DEEP = 100_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(adversarial, embedded_json))
+@example('{"a": ' + "[" * DEEP + "]" * DEEP + "}")
+@example("```json\n" + "[" * DEEP + "]" * DEEP + "\n```")
+@example('{"a": ' + "[" * DEEP)
+def test_extract_json_block_matches_brace_scanner(response):
+    block, error, message = outcome(extract_json_block, response)
+    expected_block, expected_error, expected_message = outcome(scanned_json_block, response)
+    assert (block, error) == (expected_block, expected_error)
+    if expected_message != "unbalanced braces in JSON candidate":
+        assert message == expected_message
