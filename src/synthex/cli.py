@@ -131,9 +131,9 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def workers(self, embedder: ProviderEmbedder | None = None) -> int:
-        """Pool size for a model-calling stage. A replayed stage with no
-        provider embedder never waits on the network, so more threads would
-        only contend for the interpreter lock."""
+        """Pool size for a stage that calls a model, chat or embeddings. A
+        replayed stage with no provider embedder never waits on the network,
+        so more threads would only contend for the interpreter lock."""
         if self.gateway_mode == "replay" and embedder is None:
             return 1
         return self.parallelism
@@ -349,11 +349,13 @@ def cmd_index(args, config: RunConfig) -> int:
     records = load_records(args.dataset)
     if not records:
         raise SynthexError("cannot index an empty dataset")
+    embedder = config.make_embedder(config.embedding_mode)
     index = build_index(
         records,
         mode=config.embedding_mode,
-        embedder=config.make_embedder(config.embedding_mode),
+        embedder=embedder,
         min_words=config.min_words,
+        parallelism=config.workers(embedder),
     )
     index.save(args.output)
     write_manifest(Path(args.output).parent, "index", config, [args.dataset], [args.output])
@@ -497,7 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.load(args.config)
         config.apply_flags(args)
         return args.func(args, config)
-    except (SynthexError, OSError, ValueError, KeyError) as exc:
+    # json.loads raises RecursionError on a local file nested too deep.
+    except (SynthexError, OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

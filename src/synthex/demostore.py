@@ -10,7 +10,7 @@ Embeddings come either from an HTTP provider (text in, vector out; the actual
 model is configuration) or from a hermetic lexical fallback — an L2-normalized
 term-frequency vector over a corpus-fixed vocabulary. The fallback exists so
 tests and offline runs need no network; it is not a substitute for semantic
-similarity.
+similarity. A build embeds through a provider on ``map_contained``'s pool.
 
 A fallback index keeps each entry's nonzero ``(vocabulary position, weight)``
 pairs and an inverted posting list from position to ``(entry, weight)``, so a
@@ -30,7 +30,8 @@ import heapq
 import json
 import math
 import operator
-from collections import defaultdict
+import threading
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .core import (
     record_from_dict,
     record_to_dict,
 )
-from .gateway import GatewayError, post_json
+from .gateway import GatewayError, map_contained, post_json
 
 INDEX_FORMAT_VERSION = 2
 
@@ -106,11 +107,6 @@ class FallbackEmbedder:
     def __init__(self, vocabulary: list[str]):
         self.vocabulary = list(vocabulary)
         self._positions = {token: i for i, token in enumerate(self.vocabulary)}
-
-    @classmethod
-    def from_texts(cls, texts: list[str]) -> "FallbackEmbedder":
-        vocabulary = sorted({token for text in texts for token in tokenize(text)})
-        return cls(vocabulary)
 
     @property
     def dim(self) -> int:
@@ -237,17 +233,30 @@ class DemoIndex:
         self.min_words = min_words
         self.vocabulary: list[str] | None = None
         if mode == "fallback":
-            self._embedder = FallbackEmbedder.from_texts(truncated_texts)
+            # One tokenising pass per text: lower().split() yields tokenize()'s
+            # tokens. Integer counts give FallbackEmbedder.terms' floats
+            # exactly, and sorted tokens are in position order because the
+            # vocabulary is sorted.
+            counts = [Counter(text.lower().split()) for text in truncated_texts]
+            self._embedder = FallbackEmbedder(sorted(set().union(*counts)))
             self.vocabulary = self._embedder.vocabulary
             self.dim = self._embedder.dim
+            positions = self._embedder._positions
             self.entries = []
             self._postings: list[list[tuple[int, float]]] = [[] for _ in self.vocabulary]
-            for i, (record, text) in enumerate(zip(records, truncated_texts)):
-                terms = tuple(self._embedder.terms(text))
+            for i, (record, text, tally) in enumerate(zip(records, truncated_texts, counts)):
+                if not tally:
+                    raise EmptyTextError("cannot embed empty text")
+                tokens = sorted(tally)
+                token_counts = [tally[token] for token in tokens]
+                token_norm = _norm(token_counts)
+                weights = [count / token_norm for count in token_counts]
+                terms = tuple(zip([positions[token] for token in tokens], weights))
                 for position, weight in terms:
                     self._postings[position].append((i, weight))
-                norm = _norm([weight for _, weight in terms])
-                self.entries.append(DemoIndexEntry(record.doc_id, text, record, self.dim, norm, terms=terms))
+                self.entries.append(
+                    DemoIndexEntry(record.doc_id, text, record, self.dim, _norm(weights), terms=terms)
+                )
         elif mode == "provider":
             self.dim = len(vectors[0]) if vectors else 0
             self.entries = []
@@ -364,18 +373,46 @@ class DemoIndex:
         )
 
 
+def _embed_all(embedder, texts: list[str], parallelism: int) -> list[list[float]]:
+    """One ``embed`` per text on ``map_contained``'s pool, in input order.
+
+    The first failure stops new requests from starting, so a dead endpoint
+    costs one retry cycle per worker, not one per text. The error raised is
+    that of the failed text with the lowest index; a text skipped after a
+    failure never failed.
+    """
+    failed = threading.Event()
+
+    def embed(text):
+        if failed.is_set():
+            return None
+        try:
+            return embedder.embed(text)
+        except SynthexError as exc:
+            failed.set()
+            return exc
+
+    vectors = [vector for vector, _ in map_contained(embed, texts, parallelism)]
+    for vector in vectors:
+        if isinstance(vector, SynthexError):
+            raise vector
+    return vectors
+
+
 def build_index(
     records: list[AnnotationRecord],
     mode: str = "fallback",
     embedder=None,
     min_words: int = 100,
+    parallelism: int = 1,
 ) -> DemoIndex:
     """Truncate, embed, and index every record; any embed failure fails the
-    build — a partial index would silently skew retrieval."""
+    build — a partial index would silently skew retrieval. Provider
+    embeddings run on a pool of ``parallelism`` threads."""
     if not records:
         raise ValueError("cannot build an index over zero records")
     if mode == "provider" and embedder is None:
         raise ValueError("provider mode requires an embedder")
     truncated = [truncate_text(r.text, min_words) for r in records]
-    vectors = [embedder.embed(text) for text in truncated] if mode == "provider" else None
+    vectors = _embed_all(embedder, truncated, parallelism) if mode == "provider" else None
     return DemoIndex(mode, records, truncated, min_words, vectors)

@@ -692,6 +692,31 @@ class TestFlags:
         assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
 
 
+class TestDeeplyNestedLocalFiles:
+    """A local JSON file nested too deep for the decoder is an error line and
+    exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["config", "task", "index", "jsonl"])
+    def test_reported_as_an_error(self, tmp_path, capsys, uni_vienna_record, kind):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        config = _write_config(tmp_path)
+        output = tmp_path / "preds.jsonl"
+        argv = {
+            "config": ["stats", "--dataset", str(tmp_path / "kept.jsonl"), "--config", str(deep)],
+            "task": ["infer", "--task", str(deep), "--index", str(index_path), "--output", str(output),
+                     "--config", str(config)],
+            "index": ["infer", "--task", str(task_path), "--index", str(deep), "--output", str(output),
+                      "--config", str(config)],
+            "jsonl": ["stats", "--dataset", str(deep), "--config", str(config)],
+        }[kind]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: maximum recursion depth exceeded")
+        assert not output.exists()
+
+
 class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"

@@ -1,12 +1,16 @@
 import json
 import math
 import random
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from synthex.annotator import truncate_text
+from synthex.cli import main
+from synthex.core import save_records
 from synthex.demostore import (
     DemoIndex,
     DimensionMismatchError,
@@ -59,7 +63,7 @@ class TestFallbackEmbedder:
         assert embedder.embed("a b a") == pytest.approx([2 / norm, 1 / norm, 0.0])
 
     def test_deterministic(self):
-        embedder = FallbackEmbedder.from_texts(["alpha beta", "beta gamma"])
+        embedder = FallbackEmbedder(["alpha", "beta", "gamma"])
         assert embedder.embed("alpha beta") == embedder.embed("alpha beta")
 
     def test_normalization_applied(self):
@@ -75,25 +79,47 @@ class TestFallbackEmbedder:
             FallbackEmbedder(["a"]).embed("zz yy")
 
     def test_vocabulary_sorted_from_texts(self):
-        embedder = FallbackEmbedder.from_texts(["b a", "c a"])
-        assert embedder.vocabulary == ["a", "b", "c"]
+        index = build_index([trivial_record("d0", "b a"), trivial_record("d1", "c A")], mode="fallback")
+        assert index.vocabulary == ["a", "b", "c"]
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
+    """Answers each embeddings request after sleeping ``delay`` seconds and
+    records the peak number of requests in flight."""
+
     vector = [0.6, 0.8]
     status = 200
     scripted: list = []  # statuses for the next requests, before ``status``
     requests = 0
     queued: list = []  # vectors for the next requests, before ``vector``
     body = None  # a whole response body (a string is sent as is), instead of one built from ``vector``
+    vector_of = None  # a function of the input text giving the vector, instead of ``vector``
+    refused: dict = {}  # input text -> error status, answered with a body naming the text
+    delay = 0.0
+    in_flight = 0
+    peak_in_flight = 0
+    lock = threading.Lock()
 
     def do_POST(self):
+        cls = type(self)
         length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        type(self).requests += 1
-        status = self.scripted.pop(0) if self.scripted else self.status
-        vector = self.queued.pop(0) if self.queued else self.vector
-        body = {"data": [{"embedding": vector}]} if self.body is None else self.body
+        text = json.loads(self.rfile.read(length))["input"]
+        with cls.lock:
+            cls.requests += 1
+            cls.in_flight += 1
+            cls.peak_in_flight = max(cls.peak_in_flight, cls.in_flight)
+            status = cls.scripted.pop(0) if cls.scripted else cls.status
+            vector = cls.queued.pop(0) if cls.queued else cls.vector
+        try:
+            time.sleep(cls.delay)
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+        if cls.vector_of is not None:
+            vector = cls.vector_of(text)
+        body = {"data": [{"embedding": vector}]} if cls.body is None else cls.body
+        if text in cls.refused:
+            status, body = cls.refused[text], {"error": f"refused {text}"}
         payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -113,13 +139,18 @@ def embed_server():
     _EmbedHandler.requests = 0
     _EmbedHandler.queued = []
     _EmbedHandler.body = None
-    server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
+    _EmbedHandler.vector_of = None
+    _EmbedHandler.refused = {}
+    _EmbedHandler.delay = 0.0
+    _EmbedHandler.in_flight = _EmbedHandler.peak_in_flight = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
-    thread.join()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestProviderEmbedder:
@@ -221,6 +252,106 @@ class TestBuildIndex:
         path.write_text(json.dumps({"version": 99, "entries": []}), encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
             DemoIndex.load(path)
+
+
+def _provider_config(directory, base_url: str, parallelism: int):
+    path = directory / "config.json"
+    path.write_text(json.dumps({
+        "embedding_mode": "provider", "embed_base_url": base_url, "embed_model": "emb-1", "parallelism": parallelism,
+    }), encoding="utf-8")
+    return path
+
+
+def _text_vector(text: str) -> list[float]:
+    """A vector that tells texts apart, so an index stored out of order shows."""
+    return [float(len(text)), float(sum(map(ord, text)) % 1009 + 1)]
+
+
+class TestPoolIndex:
+    """Provider embeddings run on a pool of the config's ``parallelism``."""
+
+    def test_parallel_index_is_byte_identical_to_serial(self, tmp_path, embed_server):
+        records = _corpus(12, random.Random(11))
+        dataset = tmp_path / "kept.jsonl"
+        save_records(records, dataset)
+        _EmbedHandler.vector_of = _text_vector
+        _EmbedHandler.delay = 0.05
+        peaks = {}
+        for parallelism in (1, 4):
+            out_dir = tmp_path / f"p{parallelism}"
+            out_dir.mkdir()
+            config = _provider_config(out_dir, embed_server, parallelism)
+            _EmbedHandler.peak_in_flight = 0
+            argv = ["index", "--dataset", str(dataset), "--output", str(out_dir / "index.json"), "--config", str(config)]
+            assert main(argv) == 0
+            peaks[parallelism] = _EmbedHandler.peak_in_flight
+        serial, parallel = tmp_path / "p1", tmp_path / "p4"
+        assert (parallel / "index.json").read_bytes() == (serial / "index.json").read_bytes()
+        hashes = [json.loads((d / "index.manifest.json").read_text(encoding="utf-8"))["config_hash"]
+                  for d in (serial, parallel)]
+        assert hashes[0] == hashes[1]
+        entries = json.loads((parallel / "index.json").read_text(encoding="utf-8"))["entries"]
+        assert [e["vector"] for e in entries] == [_text_vector(truncate_text(r.text, 100)) for r in records]
+        assert _EmbedHandler.requests == 2 * len(records)
+        assert peaks[1] == 1
+        assert peaks[4] > 1
+
+    def test_dead_endpoint_stops_new_embeddings(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        started = []
+        embed = ProviderEmbedder.embed
+        monkeypatch.setattr(ProviderEmbedder, "embed", lambda self, text: started.append(text) or embed(self, text))
+        records = _corpus(50, random.Random(12))
+        embedder = ProviderEmbedder(base_url="http://127.0.0.1:9", model_name="emb-1")
+        with pytest.raises(ProviderError, match="unreachable"):
+            build_index(records, mode="provider", embedder=embedder, parallelism=4)
+        assert 1 <= len(started) <= 4
+
+        started.clear()
+        dataset, output = tmp_path / "kept.jsonl", tmp_path / "index.json"
+        save_records(records, dataset)
+        config = _provider_config(tmp_path, "http://127.0.0.1:9", 4)
+        assert main(["index", "--dataset", str(dataset), "--output", str(output), "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: embeddings endpoint failed: endpoint unreachable")
+        assert not output.exists()
+        assert not (tmp_path / "index.manifest.json").exists()
+        assert 1 <= len(started) <= 4
+
+    def test_error_of_the_lowest_failed_index_is_raised(self, embed_server):
+        records = _corpus(8, random.Random(13))
+        texts = [truncate_text(r.text, 100) for r in records]
+        assert len(set(texts)) == len(texts)
+        _EmbedHandler.refused = {texts[5]: 400, texts[2]: 400}
+        _EmbedHandler.delay = 0.02
+        embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
+        with pytest.raises(ProviderError, match="400") as excinfo:
+            build_index(records, mode="provider", embedder=embedder, parallelism=4)
+        assert f"refused {texts[2]}" in str(excinfo.value)
+
+    def test_lowest_failed_index_under_thread_churn(self):
+        class FlakyEmbedder:
+            def __init__(self):
+                self.failed = []
+
+            def embed(self, text):
+                i = int(text.split()[1])
+                if i % 37 == 36:
+                    self.failed.append(i)
+                    raise ProviderError(f"embedding {i} failed")
+                return [1.0, float(i)]
+
+        records = [trivial_record(f"d{i}", f"Text {i} here.") for i in range(600)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                embedder = FlakyEmbedder()
+                with pytest.raises(ProviderError) as excinfo:
+                    build_index(records, mode="provider", embedder=embedder, parallelism=8)
+                assert str(excinfo.value) == f"embedding {min(embedder.failed)} failed"
+                assert len(embedder.failed) <= 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRetrieve:

@@ -2,13 +2,18 @@
 persisted JSON text; rendering then parsing inline markup is lossless or
 refused; sentence splitting, truncation, mention re-anchoring and JSON
 extraction keep their invariants on adversarial text; the sentence scanner
-agrees with a character-by-character reference, and JSON extraction with a
-brace-scanner reference."""
+agrees with a character-by-character reference, JSON extraction with a
+brace-scanner reference, and the fallback index build with a reference that
+tokenises each text twice."""
 
 import json
+import math
+import operator
 import random
 import re
+from collections import defaultdict
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from synthex.annotator import _is_abbreviation, sentence_spans, truncate_text, word_count
@@ -20,9 +25,11 @@ from synthex.core import (
     Triple,
     derive_entity_types,
     derive_relation_types,
+    normalize_surface,
     record_from_dict,
     record_to_dict,
 )
+from synthex.demostore import EmptyTextError, build_index
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
 from synthex.gateway import NoJsonFoundError, ResponseSyntaxError, extract_json_block
 from synthex.markup import MarkupError, parse_annotated, render_annotated
@@ -368,3 +375,90 @@ def test_extract_json_block_matches_brace_scanner(response):
     assert (block, error) == (expected_block, expected_error)
     if expected_message != "unbalanced braces in JSON candidate":
         assert message == expected_message
+
+
+def _reference_norm(values) -> float:
+    return math.sqrt(sum(map(operator.mul, values, values)))
+
+
+def reference_terms(positions: dict, text: str) -> list[tuple[int, float]]:
+    """FallbackEmbedder.terms as the index build used it before counting once."""
+    tokens = normalize_surface(text).split()
+    if not tokens:
+        raise EmptyTextError("cannot embed empty text")
+    counts: dict[int, float] = {}
+    for token in tokens:
+        position = positions.get(token)
+        if position is not None:
+            counts[position] = counts.get(position, 0.0) + 1.0
+    ordered = sorted(counts)
+    norm = _reference_norm([counts[p] for p in ordered])
+    return [(p, counts[p] / norm) for p in ordered]
+
+
+def reference_fallback_index(texts: list[str]):
+    """Vocabulary, positions and per-entry ``(terms, norm)`` as the index
+    build derived them before counting once: the vocabulary from one
+    tokenising pass over the texts, the weights from a second."""
+    vocabulary = sorted({token for text in texts for token in normalize_surface(text).split()})
+    positions = {token: i for i, token in enumerate(vocabulary)}
+    entries = []
+    for text in texts:
+        terms = reference_terms(positions, text)
+        entries.append((terms, _reference_norm([weight for _, weight in terms])))
+    return vocabulary, positions, entries
+
+
+def reference_scores(positions, entries, query: str) -> dict[int, float]:
+    postings = defaultdict(list)
+    for i, (terms, _) in enumerate(entries):
+        for position, weight in terms:
+            postings[position].append((i, weight))
+    terms = reference_terms(positions, query)
+    products = defaultdict(list)
+    for position, weight in terms:
+        for i, entry_weight in postings[position]:
+            products[i].append(weight * entry_weight)
+    query_norm = _reference_norm([weight for _, weight in terms])
+    return {i: sum(p) / (query_norm * entries[i][1]) for i, p in products.items()}
+
+
+def hexed(terms) -> list[tuple[int, str]]:
+    return [(position, weight.hex()) for position, weight in terms]
+
+
+MIN_WORDS = 8
+worded_prose = prose.filter(str.split)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4))
+@example(["Alpha beta.", " \x85 "], ["beta"])
+@example(["Fff eee h j aa eee hh jjj."], ["eee"])  # its norm depends on the order of the weights
+def test_fallback_index_matches_the_two_pass_reference(texts, queries):
+    records = [
+        AnnotationRecord(doc_id=f"d{i}", text=text, annotated_text=text, entities=(), mentions=(), triples=(),
+                         entity_types=(), relation_types=())
+        for i, text in enumerate(texts)
+    ]
+    truncated = [truncate_text(text, MIN_WORDS) for text in texts]
+    try:
+        vocabulary, positions, entries = reference_fallback_index(truncated)
+    except EmptyTextError:
+        with pytest.raises(EmptyTextError):
+            build_index(records, mode="fallback", min_words=MIN_WORDS)
+        return
+    index = build_index(records, mode="fallback", min_words=MIN_WORDS)
+    assert index.vocabulary == vocabulary
+    assert [hexed(e.terms) for e in index.entries] == [hexed(terms) for terms, _ in entries]
+    assert [e.norm.hex() for e in index.entries] == [norm.hex() for _, norm in entries]
+    for query in queries:
+        try:
+            scores = reference_scores(positions, entries, truncate_text(query, MIN_WORDS))
+        except EmptyTextError:
+            with pytest.raises(EmptyTextError):
+                index.retrieve_scored(query, k=len(texts))
+            continue
+        expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
+        got = index.retrieve_scored(query, k=len(texts))
+        assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]

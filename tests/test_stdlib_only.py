@@ -1,5 +1,6 @@
 """The runtime is stdlib-only: every import in the package names a standard
-library module or the package itself."""
+library module or the package itself. Threads and worker pools are made in
+one place, ``gateway.map_contained``."""
 
 import ast
 import sys
@@ -30,3 +31,36 @@ def test_package_imports_only_stdlib_and_itself():
             if top not in sys.stdlib_module_names and top != "synthex":
                 foreign.append(f"{path.name}:{lineno}: {name}")
     assert foreign == []
+
+
+POOL_CONSTRUCTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+
+
+def _pool_constructions(tree: ast.AST):
+    """``(enclosing function, constructor)`` for each call that makes a pool or
+    a thread, whether the name is used bare, as an attribute or imported
+    under another name."""
+    names = {name: name for name in POOL_CONSTRUCTORS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update({a.asname: a.name for a in node.names if a.name in POOL_CONSTRUCTORS and a.asname})
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in names:
+                    yield function, names[called]
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def test_pools_and_threads_are_made_only_in_map_contained():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, function, name) for function, name in _pool_constructions(tree)]
+    assert sites == [("gateway.py", "map_contained", "ThreadPoolExecutor")]
