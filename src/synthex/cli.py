@@ -86,6 +86,8 @@ class RunConfig:
     def validate(self):
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         if self.gateway_mode not in ("record", "replay"):
             raise ValueError(f"unknown gateway_mode {self.gateway_mode!r}")
         if self.embedding_mode not in ("fallback", "provider"):
@@ -365,13 +367,16 @@ def cmd_index(args, config: RunConfig) -> int:
 
 def cmd_infer(args, config: RunConfig) -> int:
     task = json.loads(Path(args.task).read_text(encoding="utf-8"))
-    schema = Schema.from_lists(
-        task["schema"]["entity_types"], task["schema"]["relation_types"]
-    )
-    docs = [
-        SourceDocument(id=str(d["id"]), text=d["text"], title=d.get("title"))
-        for d in task["documents"]
-    ]
+    if not isinstance(task, dict):
+        raise ValueError("a task file holds one JSON object")
+    spec = task.get("schema") if isinstance(task.get("schema"), dict) else {}
+    if not (isinstance(spec.get("entity_types"), list) and isinstance(spec.get("relation_types"), list)):
+        raise ValueError("a task file's schema holds entity_types and relation_types lists")
+    documents = task.get("documents")
+    if not isinstance(documents, list) or not all(isinstance(d, dict) for d in documents):
+        raise ValueError("a task file's documents are a list of objects")
+    schema = Schema.from_lists(spec["entity_types"], spec["relation_types"])
+    docs = [SourceDocument(id=str(d["id"]), text=d["text"], title=d.get("title")) for d in documents]
     if not docs:
         raise SynthexError("task file contains no documents")
     duplicates = sorted(doc_id for doc_id, n in Counter(d.id for d in docs).items() if n > 1)

@@ -296,11 +296,15 @@ def dump_jsonl(items: Iterable[dict], path: str | Path):
 
 
 def load_jsonl(path: str | Path) -> Iterator[dict]:
+    """The objects of a JSONL file; ValueError names a line holding another value."""
     with io.open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError(f"{path}: line {number} is not a JSON object")
+                yield data
 
 
 def load_records(path: str | Path) -> list[AnnotationRecord]:

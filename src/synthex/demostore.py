@@ -12,16 +12,19 @@ term-frequency vector over a corpus-fixed vocabulary. The fallback exists so
 tests and offline runs need no network; it is not a substitute for semantic
 similarity. A build embeds through a provider on ``map_contained``'s pool.
 
-A fallback index keeps each entry's nonzero ``(vocabulary position, weight)``
-pairs and an inverted posting list from position to ``(entry, weight)``, so a
-query only scores the entries sharing a token with it. The score is the same
-float ``cosine`` computes over the dense vectors: the zero terms of the dense
-dot product and norms add exactly 0.0, so summing the nonzero terms in
-position order with ``sum()`` gives the same sums. Entries sharing no token
-score 0.0, and so does every entry for a query with no token in the
-vocabulary. The vocabulary and weights are derived from the truncated texts
-when an index is built or loaded; the file stores each truncated text as the
-length of its prefix of the record text, and only provider vectors.
+A fallback index weighs demonstrations and queries with one function,
+``FallbackEmbedder.weigh``. Its posting lists are the one stored copy of the
+demonstration weights: per vocabulary position, parallel lists of entry ids
+and weights, so a query only scores the entries sharing a token with it. An
+entry keeps its norm and derives its ``terms`` and ``vector`` from its
+truncated text when asked. The score is the same float ``cosine`` computes
+over the dense vectors: the zero terms of the dense dot product and norms add
+exactly 0.0, so summing the nonzero terms in position order with ``sum()``
+gives the same sums. Entries sharing no token score 0.0, and so does every
+entry for a query with no token in the vocabulary. The vocabulary and weights
+are derived from the truncated texts when an index is built or loaded; the
+file stores each truncated text as the length of its prefix of the record
+text, and only provider vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 import operator
 import threading
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .annotator import truncate_text
@@ -40,7 +43,6 @@ from .core import (
     AnnotationRecord,
     SynthexError,
     atomic_writer,
-    normalize_surface,
     record_from_dict,
     record_to_dict,
 )
@@ -88,17 +90,6 @@ def cosine(u: list[float], v: list[float]) -> float:
     return _dot(u, v) / (norm_u * norm_v)
 
 
-def tokenize(text: str) -> list[str]:
-    return normalize_surface(text).split()
-
-
-def _dense(terms, dim: int) -> list[float]:
-    vector = [0.0] * dim
-    for position, weight in terms:
-        vector[position] = weight
-    return vector
-
-
 class FallbackEmbedder:
     """Term-frequency vectors over a fixed vocabulary, L2-normalized."""
 
@@ -112,26 +103,29 @@ class FallbackEmbedder:
     def dim(self) -> int:
         return len(self.vocabulary)
 
-    def terms(self, text: str) -> list[tuple[int, float]]:
-        """The nonzero ``(position, weight)`` pairs of ``embed(text)`` in
-        position order; empty when no token is in the vocabulary."""
-        tokens = tokenize(text)
-        if not tokens:
+    def weigh(self, counts: Counter) -> list[tuple[int, float]]:
+        """The nonzero ``(position, weight)`` pairs, in position order, of a
+        text's token counts ``Counter(text.lower().split())``; empty when no
+        token is in the vocabulary."""
+        if not counts:
             raise EmptyTextError("cannot embed empty text")
-        counts: dict[int, float] = {}
-        for token in tokens:
-            position = self._positions.get(token)
-            if position is not None:
-                counts[position] = counts.get(position, 0.0) + 1.0
-        positions = sorted(counts)
-        norm = _norm([counts[p] for p in positions])
-        return [(p, counts[p] / norm) for p in positions]
+        positions = self._positions
+        tallies = sorted([(positions[token], n) for token, n in counts.items() if token in positions])
+        norm = _norm([n for _, n in tallies])
+        return [(position, n / norm) for position, n in tallies]
+
+    def terms(self, text: str) -> list[tuple[int, float]]:
+        """The nonzero ``(position, weight)`` pairs of ``embed(text)``."""
+        return self.weigh(Counter(text.lower().split()))
 
     def embed(self, text: str) -> list[float]:
         terms = self.terms(text)
         if not terms:
             raise ZeroVectorError("no text token occurs in the index vocabulary")
-        return _dense(terms, self.dim)
+        vector = [0.0] * self.dim
+        for position, weight in terms:
+            vector[position] = weight
+        return vector
 
 
 # Seconds an embeddings request may take.
@@ -195,23 +189,28 @@ class ExclusionList:
 
 @dataclass(frozen=True)
 class DemoIndexEntry:
-    """One demonstration. A fallback entry keeps the nonzero ``(position,
-    weight)`` pairs of its vector in position order, a provider entry its
-    stored vector; ``norm`` is the norm ``cosine`` computes for ``vector``."""
+    """One demonstration. A provider entry keeps its stored vector; a
+    fallback entry keeps the index's embedder and derives its ``terms`` and
+    ``vector`` from its truncated text. ``norm`` is the norm ``cosine``
+    computes for ``vector``."""
 
     doc_id: str
     truncated_text: str
     record: AnnotationRecord
-    dim: int
     norm: float
-    terms: tuple[tuple[int, float], ...] = ()
     stored_vector: tuple[float, ...] | None = None
+    embedder: FallbackEmbedder | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def terms(self) -> list[tuple[int, float]]:
+        """A fallback entry's nonzero ``(position, weight)`` pairs."""
+        return self.embedder.terms(self.truncated_text) if self.embedder is not None else []
 
     @property
     def vector(self) -> tuple[float, ...]:
         if self.stored_vector is not None:
             return self.stored_vector
-        return tuple(_dense(self.terms, self.dim))
+        return tuple(self.embedder.embed(self.truncated_text))
 
 
 class DemoIndex:
@@ -233,30 +232,22 @@ class DemoIndex:
         self.min_words = min_words
         self.vocabulary: list[str] | None = None
         if mode == "fallback":
-            # One tokenising pass per text: lower().split() yields tokenize()'s
-            # tokens. Integer counts give FallbackEmbedder.terms' floats
-            # exactly, and sorted tokens are in position order because the
-            # vocabulary is sorted.
+            # One tokenising pass per text, shared by the vocabulary and the weights.
             counts = [Counter(text.lower().split()) for text in truncated_texts]
             self._embedder = FallbackEmbedder(sorted(set().union(*counts)))
             self.vocabulary = self._embedder.vocabulary
             self.dim = self._embedder.dim
-            positions = self._embedder._positions
             self.entries = []
-            self._postings: list[list[tuple[int, float]]] = [[] for _ in self.vocabulary]
+            self._posting_ids: list[list[int]] = [[] for _ in self.vocabulary]
+            self._posting_weights: list[list[float]] = [[] for _ in self.vocabulary]
             for i, (record, text, tally) in enumerate(zip(records, truncated_texts, counts)):
-                if not tally:
-                    raise EmptyTextError("cannot embed empty text")
-                tokens = sorted(tally)
-                token_counts = [tally[token] for token in tokens]
-                token_norm = _norm(token_counts)
-                weights = [count / token_norm for count in token_counts]
-                terms = tuple(zip([positions[token] for token in tokens], weights))
-                for position, weight in terms:
-                    self._postings[position].append((i, weight))
-                self.entries.append(
-                    DemoIndexEntry(record.doc_id, text, record, self.dim, _norm(weights), terms=terms)
-                )
+                weights = []
+                for position, weight in self._embedder.weigh(tally):
+                    self._posting_ids[position].append(i)
+                    self._posting_weights[position].append(weight)
+                    weights.append(weight)
+                entry = DemoIndexEntry(record.doc_id, text, record, _norm(weights), embedder=self._embedder)
+                self.entries.append(entry)
         elif mode == "provider":
             self.dim = len(vectors[0]) if vectors else 0
             self.entries = []
@@ -268,9 +259,8 @@ class DemoIndex:
                 norm = _norm(vector)
                 if norm == 0.0:
                     raise ZeroVectorError(f"doc {record.doc_id}: zero vector")
-                self.entries.append(
-                    DemoIndexEntry(record.doc_id, text, record, self.dim, norm, stored_vector=tuple(vector))
-                )
+                entry = DemoIndexEntry(record.doc_id, text, record, norm, stored_vector=tuple(vector))
+                self.entries.append(entry)
         else:
             raise ValueError(f"unknown index mode {mode!r}")
 
@@ -282,7 +272,7 @@ class DemoIndex:
         terms = self._embedder.terms(text)
         products = defaultdict(list)
         for position, weight in terms:
-            for i, entry_weight in self._postings[position]:
+            for i, entry_weight in zip(self._posting_ids[position], self._posting_weights[position]):
                 products[i].append(weight * entry_weight)
         query_norm = _norm([weight for _, weight in terms])
         return {i: sum(p) / (query_norm * self.entries[i].norm) for i, p in products.items()}

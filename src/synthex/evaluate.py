@@ -261,8 +261,9 @@ def evaluate(
     """Score every task in one pass over the gold documents, micro-averaged.
 
     Mention detection is skipped when a scored gold document has entities
-    but no mention-level annotation (entity names only). Predictions must
-    carry distinct doc ids, each naming a gold document.
+    but no mention-level annotation (entity names only). Gold documents must
+    carry distinct doc ids, and so must predictions, each naming a gold
+    document.
     """
     if mode not in (MODE_ALL, MODE_VALID_ONLY):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -271,7 +272,12 @@ def evaluate(
         counts = Counter(p.doc_id for p in predictions)
         duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
         raise DuplicatePredictionError(f"duplicate prediction doc ids: {duplicates}")
-    unmatched = sorted(by_id.keys() - {g.doc_id for g in golds})
+    gold_ids = {g.doc_id for g in golds}
+    if len(gold_ids) < len(golds):
+        counts = Counter(g.doc_id for g in golds)
+        duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
+        raise SynthexError(f"duplicate gold doc ids: {duplicates}")
+    unmatched = sorted(by_id.keys() - gold_ids)
     if unmatched:
         raise UnmatchedPredictionError(f"prediction doc ids with no gold document: {unmatched}")
     tasks = dict.fromkeys(TASKS, TaskScore(0, 0, 0))

@@ -272,6 +272,30 @@ def map_contained(fn, items, parallelism: int) -> list[tuple]:
 _JSON_FENCE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
 _DECODER = json.JSONDecoder()
+# The deepest nesting a response may hold. The decoder's own limit is the
+# interpreter's recursion limit less the caller's stack depth, so it would
+# make one response readable in one thread and unreadable in another.
+MAX_JSON_DEPTH = 500
+# A JSON string (an unterminated one runs to the end), or one bracket.
+_JSON_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|[\[\]{}]', re.DOTALL)
+
+
+def _check_depth(candidate: str):
+    """Raise ResponseSyntaxError when the first value of ``candidate`` nests
+    deeper than MAX_JSON_DEPTH; brackets inside strings do not count."""
+    if candidate.count("[") + candidate.count("{") <= MAX_JSON_DEPTH:
+        return
+    depth = 0
+    for match in _JSON_NESTING.finditer(candidate):
+        token = match.group()
+        if token in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                raise ResponseSyntaxError(f"candidate is not strict JSON: nested deeper than {MAX_JSON_DEPTH}")
+        elif token in ("]", "}"):
+            depth -= 1
+            if depth == 0:
+                return
 
 
 def extract_json_block(response: str) -> str:
@@ -280,20 +304,24 @@ def extract_json_block(response: str) -> str:
     Prefers the first fenced block labeled ``json``; otherwise takes the first
     object the stdlib decoder reads from the first ``{``. The result must
     parse as strict JSON — single-quoted pseudo-JSON is a syntax error, not
-    something to repair, and so is nesting too deep for the decoder.
+    something to repair, and so is nesting deeper than
+    :data:`MAX_JSON_DEPTH`, whatever stack the caller runs on.
     """
     fence = _JSON_FENCE.search(response)
     try:
         if fence is not None:
             candidate = fence.group(1).strip()
+            _check_depth(candidate)
             json.loads(candidate)
             return candidate
         start = response.find("{")
         if start == -1:
             raise NoJsonFoundError("response contains no JSON object")
         # Decoding the slice keeps error positions relative to the candidate.
-        _, end = _DECODER.raw_decode(response[start:])
-        return response[start : start + end]
+        candidate = response[start:]
+        _check_depth(candidate)
+        _, end = _DECODER.raw_decode(candidate)
+        return candidate[:end]
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
 

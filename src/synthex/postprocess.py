@@ -218,16 +218,17 @@ class PostProcessor:
                 )
                 continue
             filtered = apply_discard_policy(record, verdicts)
-            removed = [t.predicate for t in record.triples if t not in filtered.triples]
-            if removed:
-                discarded_predicates = sorted(set(removed))
+            # The policy removes every triple of a discarded predicate.
+            triples_removed = len(record.triples) - len(filtered.triples)
+            if triples_removed:
+                discarded = {t.predicate for t in record.triples} - {t.predicate for t in filtered.triples}
                 drop_log.append(
                     DropLogEntry(
                         record.doc_id,
                         STAGE_TRIPLE_VERIFY,
                         {
-                            "predicates": discarded_predicates,
-                            "triples_removed": len(removed),
+                            "predicates": sorted(discarded),
+                            "triples_removed": triples_removed,
                             "verdicts": [
                                 {"index": v.index, "verdict": v.verdict}
                                 for v in verdicts

@@ -717,6 +717,46 @@ class TestDeeplyNestedLocalFiles:
         assert not output.exists()
 
 
+RECORD_LINE = json.dumps(UNI_VIENNA_DICT)
+TASK_SCHEMA = {"entity_types": ["Person"], "relation_types": ["member_of"]}
+
+
+class TestMalformedLocalInputs:
+    """A local input of the wrong shape is an error line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("ingest", '{"id": "a", "text": "Alpha."}\n"text"\n', "line 2 is not a JSON object"),
+        ("stats", f"{RECORD_LINE}\n[1, 2]\n", "line 2 is not a JSON object"),
+        ("stats --top-k -1", RECORD_LINE, "top_k must be >= 1"),
+        ("index", f"{RECORD_LINE}\n[1, 2]\n", "line 2 is not a JSON object"),
+        ("postprocess", f"{RECORD_LINE}\n[1, 2]\n", "line 2 is not a JSON object"),
+        ("eval", "[1, 2]\n", "line 1 is not a JSON object"),
+        ("infer", "[]", "a task file holds one JSON object"),
+        ("infer", json.dumps({"schema": {"entity_types": "Person"}, "documents": []}), "schema holds entity_types"),
+        ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": ["Alpha."]}), "documents are a list of objects"),
+    ], ids=["ingest", "stats", "stats-top-k", "index", "postprocess", "eval", "infer-list", "infer-schema",
+            "infer-documents"])
+    def test_reported_as_an_error(self, tmp_path, capsys, command, content, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(RECORD_LINE, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ["ingest", "--input", str(bad), "--output", str(out)],
+            "stats": ["stats", "--dataset", str(bad)],
+            "stats --top-k -1": ["stats", "--dataset", str(bad), "--top-k", "-1"],
+            "index": ["index", "--dataset", str(bad), "--output", str(out)],
+            "postprocess": ["postprocess", "--annotations", str(bad), "--out-dir", str(out)],
+            "eval": ["eval", "--predictions", str(bad), "--gold", str(gold)],
+            "infer": ["infer", "--task", str(bad), "--index", str(out), "--output", str(out)],
+        }[command]
+        assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
 class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from synthex.core import AnnotationRecord, Entity, Mention, Span, Triple
+from synthex.core import AnnotationRecord, Entity, Mention, Span, SynthexError, Triple
 from synthex.evaluate import (
     MODE_ALL,
     MODE_VALID_ONLY,
@@ -416,6 +416,11 @@ class TestEvaluateDriver:
         preds += [preds[2], prediction_from_record(golds[0], valid=False)]
         with pytest.raises(DuplicatePredictionError, match=r"\['doc0', 'doc2'\]"):
             evaluate(preds, golds)
+
+    def test_duplicate_gold_doc_ids_rejected(self):
+        preds, golds = self._fixture(n_docs=3)
+        with pytest.raises(SynthexError, match=r"duplicate gold doc ids: \['doc0', 'doc2'\]"):
+            evaluate(preds, golds + [golds[2], golds[0]])
 
     def test_prediction_without_gold_rejected(self):
         preds, golds = self._fixture(n_docs=3)

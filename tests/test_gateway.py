@@ -6,6 +6,7 @@ import pytest
 
 from synthex.annotator import MissingKeyError
 from synthex.gateway import (
+    MAX_JSON_DEPTH,
     CacheMissError,
     ChatGateway,
     EndpointError,
@@ -325,6 +326,33 @@ class TestExtractJsonBlock:
     def test_fenced_block_with_bad_json(self):
         with pytest.raises(ResponseSyntaxError):
             extract_json_block("```json\n{'a': 1}\n```")
+
+    @staticmethod
+    def _nested(depth: int) -> str:
+        return '{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+    def test_nesting_at_the_cap_is_accepted(self):
+        blob = self._nested(MAX_JSON_DEPTH)
+        for response in (f"x {blob} y", f"```json\n{blob}\n```"):
+            assert extract_json_block(response) == blob
+
+    def test_nesting_past_the_cap_is_a_syntax_error_on_any_stack(self):
+        blob = self._nested(MAX_JSON_DEPTH + 1)
+        responses = [f"x {blob} y", f"```json\n{blob}\n```"]
+
+        def outcome(response):
+            try:
+                return extract_json_block(response)
+            except ResponseSyntaxError:
+                return "syntax_error"
+
+        assert [outcome(r) for r in responses] == ["syntax_error"] * 2
+        assert map_contained(outcome, responses, parallelism=2) == [("syntax_error", None)] * 2
+
+    def test_brackets_inside_strings_do_not_count_toward_the_cap(self):
+        blob = '{"a": "' + "[{" * MAX_JSON_DEPTH + '", "b": [1]}'
+        assert extract_json_block(f"x {blob} y") == blob
+        assert extract_json_block(f'x {blob} {self._nested(MAX_JSON_DEPTH + 1)}') == blob
 
     def test_result_always_parses(self):
         import random

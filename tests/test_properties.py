@@ -29,9 +29,9 @@ from synthex.core import (
     record_from_dict,
     record_to_dict,
 )
-from synthex.demostore import EmptyTextError, build_index
+from synthex.demostore import EmptyTextError, FallbackEmbedder, build_index
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
-from synthex.gateway import NoJsonFoundError, ResponseSyntaxError, extract_json_block
+from synthex.gateway import MAX_JSON_DEPTH, NoJsonFoundError, ResponseSyntaxError, extract_json_block
 from synthex.markup import MarkupError, parse_annotated, render_annotated
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -324,9 +324,34 @@ def _balanced_candidate(text: str, start: int) -> str | None:
     return None
 
 
+def _first_value_depth(text: str) -> int:
+    """How deep the first value of ``text`` nests, brackets in strings aside."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for c in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+            if depth == 0:
+                break
+    return deepest
+
+
 def scanned_json_block(response: str) -> str:
     """Reference for extract_json_block: a per-character brace scanner finds
-    where the object from the first ``{`` ends, then ``json.loads`` checks it."""
+    where the object from the first ``{`` ends, a second one refuses nesting
+    deeper than MAX_JSON_DEPTH, then ``json.loads`` checks the candidate."""
     fence = re.search(r"```json\s*\n(.*?)```", response, re.DOTALL)
     if fence is not None:
         candidate = fence.group(1).strip()
@@ -337,6 +362,8 @@ def scanned_json_block(response: str) -> str:
         candidate = _balanced_candidate(response, start)
         if candidate is None:
             raise ResponseSyntaxError("unbalanced braces in JSON candidate")
+    if _first_value_depth(candidate) > MAX_JSON_DEPTH:
+        raise ResponseSyntaxError(f"candidate is not strict JSON: nested deeper than {MAX_JSON_DEPTH}")
     try:
         json.loads(candidate)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -459,6 +486,7 @@ def test_fallback_index_matches_the_two_pass_reference(texts, queries):
             with pytest.raises(EmptyTextError):
                 index.retrieve_scored(query, k=len(texts))
             continue
+        assert hexed(FallbackEmbedder(index.vocabulary).terms(query)) == hexed(reference_terms(positions, query))
         expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
         got = index.retrieve_scored(query, k=len(texts))
         assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
