@@ -25,7 +25,6 @@ from .core import (
 from .gateway import (
     ChatGateway,
     GenerationParams,
-    ResponseSyntaxError,
     UnreadableResponseError,
     extract_json_block,
 )
@@ -292,13 +291,7 @@ def parse_annotation_response(response: str) -> RawAnnotation:
     can be recovered and :class:`MissingKeyError` when the object lacks a
     required key or an element is malformed.
     """
-    block = extract_json_block(response)
-    try:
-        data = json.loads(block)
-    except RecursionError as exc:
-        # The recursion limit counts stack frames, so this decode can overflow
-        # at a nesting depth that extract_json_block's own decode passed.
-        raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
+    data = extract_json_block(response)
     _require(isinstance(data, dict), "text_with_spans")
 
     text_with_spans = _lookup(data, "text_with_spans")
@@ -405,23 +398,11 @@ def verify_annotation(raw: RawAnnotation, source_text: str) -> VerificationRepor
                 Finding(TRIPLE_NAME_MISMATCH, f"triple {i}: unparseable triple_string {triple.triple_string!r}")
             )
             continue
-        subject_name, _, object_name = parsed
-        expected_subject = name_by_id[triple.subject]
-        expected_object = name_by_id[triple.object]
-        if normalize_surface(subject_name) != normalize_surface(expected_subject):
-            findings.append(
-                Finding(
-                    TRIPLE_NAME_MISMATCH,
-                    f"triple {i}: subject {subject_name!r} does not match entity {triple.subject} ({expected_subject!r})",
-                )
-            )
-        if normalize_surface(object_name) != normalize_surface(expected_object):
-            findings.append(
-                Finding(
-                    TRIPLE_NAME_MISMATCH,
-                    f"triple {i}: object {object_name!r} does not match entity {triple.object} ({expected_object!r})",
-                )
-            )
+        for role, name, entity_id in (("subject", parsed[0], triple.subject), ("object", parsed[2], triple.object)):
+            expected = name_by_id[entity_id]
+            if normalize_surface(name) != normalize_surface(expected):
+                context = f"triple {i}: {role} {name!r} does not match entity {entity_id} ({expected!r})"
+                findings.append(Finding(TRIPLE_NAME_MISMATCH, context))
     return VerificationReport(errors=tuple(findings))
 
 

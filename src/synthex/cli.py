@@ -41,6 +41,7 @@ from .core import (
     load_corpus,
     load_jsonl,
     load_records,
+    repeated_ids,
     save_records,
 )
 from .demostore import DemoIndex, ExclusionList, ProviderEmbedder, build_index
@@ -250,9 +251,7 @@ def cmd_ingest(args, config: RunConfig) -> int:
         docs = load_corpus(source)
     if not docs:
         raise SynthexError("empty corpus")
-    dump_jsonl(
-        ({"id": d.id, "title": d.title, "text": d.text} for d in docs), args.output
-    )
+    dump_jsonl((d.to_dict() for d in docs), args.output)
     out_dir = Path(args.output).parent
     write_manifest(out_dir, "ingest", config, [source] if source.is_file() else [], [args.output])
     print(f"ingested {len(docs)} documents -> {args.output}")
@@ -325,7 +324,7 @@ def cmd_stats(args, config: RunConfig) -> int:
     records = load_records(args.dataset)
     failure_count = None
     if args.failures:
-        failure_count = sum(1 for _ in load_jsonl(args.failures))
+        failure_count = len(load_jsonl(args.failures))
     stats = compute_dataset_stats(records, top_k=config.top_k, failure_count=failure_count)
     if args.output:
         _write_json(asdict(stats), args.output)
@@ -349,8 +348,6 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 def cmd_index(args, config: RunConfig) -> int:
     records = load_records(args.dataset)
-    if not records:
-        raise SynthexError("cannot index an empty dataset")
     embedder = config.make_embedder(config.embedding_mode)
     index = build_index(
         records,
@@ -376,10 +373,11 @@ def cmd_infer(args, config: RunConfig) -> int:
     if not isinstance(documents, list) or not all(isinstance(d, dict) for d in documents):
         raise ValueError("a task file's documents are a list of objects")
     schema = Schema.from_lists(spec["entity_types"], spec["relation_types"])
-    docs = [SourceDocument(id=str(d["id"]), text=d["text"], title=d.get("title")) for d in documents]
+    schema.require_nonempty()
+    docs = [SourceDocument.from_dict(d) for d in documents]
     if not docs:
         raise SynthexError("task file contains no documents")
-    duplicates = sorted(doc_id for doc_id, n in Counter(d.id for d in docs).items() if n > 1)
+    duplicates = repeated_ids(d.id for d in docs)
     if duplicates:
         raise ValueError(f"duplicate document ids {duplicates} in task file")
     index = DemoIndex.load(args.index)
@@ -404,7 +402,7 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 
 def cmd_eval(args, config: RunConfig) -> int:
-    predictions = [prediction_from_dict(d) for d in load_jsonl(args.predictions)]
+    predictions = load_jsonl(args.predictions, lambda data, _: prediction_from_dict(data))
     if not predictions:
         raise SynthexError("no predictions to evaluate")
     golds = load_records(args.gold)

@@ -4,9 +4,9 @@ Every other module builds on these types. Annotated documents persist as JSONL
 with one record per line; the field layout follows the synthetic-data release
 format ("text", "annotated_text", "entities", "relations") with "mentions",
 "entity_types", "relation_types", "doc_id" and "provenance" as documented
-extensions. Entity, Mention and Triple each carry their one JSON codec
-(``to_dict``/``from_dict``); every persisted layout and prompt block is built
-from those.
+extensions. SourceDocument, Entity, Mention and Triple each carry their one
+JSON codec (``to_dict``/``from_dict``); every persisted layout and prompt
+block is built from those.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import io
 import json
 import re
 import uuid
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,12 +59,21 @@ class SourceDocument:
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if not isinstance(self.text, str) or not isinstance(self.title, (str, type(None))):
+            raise ValueError(f"document {self.id!r}: text and title must be strings")
         if not self.text.strip():
             raise ValueError(f"document {self.id!r}: text must be non-empty")
 
     @property
     def paragraphs(self) -> list[str]:
         return split_paragraphs(self.text)
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "title": self.title, "text": self.text}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SourceDocument":
+        return cls(id=str(data["id"]), text=data["text"], title=data.get("title"))
 
 
 @dataclass(frozen=True)
@@ -171,8 +181,8 @@ class Schema:
     def from_lists(cls, entity_types: Iterable[str], relation_types: Iterable[str]) -> "Schema":
         """Build a schema, deduplicating entries that collide after normalization."""
         return cls(
-            entity_types=_dedup_normalized(entity_types),
-            relation_types=_dedup_normalized(relation_types),
+            entity_types=_dedup_normalized(entity_types, "entity_types"),
+            relation_types=_dedup_normalized(relation_types, "relation_types"),
         )
 
     def require_nonempty(self):
@@ -180,10 +190,12 @@ class Schema:
             raise ValueError("schema must list at least one entity type and one relation type")
 
 
-def _dedup_normalized(items: Iterable[str]) -> tuple[str, ...]:
+def _dedup_normalized(items: Iterable[str], name: str) -> tuple[str, ...]:
     seen = set()
     out = []
     for item in items:
+        if not isinstance(item, str):
+            raise ValueError(f"schema {name} must be strings, got {item!r}")
         key = normalize_surface(item)
         if key and key not in seen:
             seen.add(key)
@@ -295,8 +307,11 @@ def dump_jsonl(items: Iterable[dict], path: str | Path):
             fh.write("\n")
 
 
-def load_jsonl(path: str | Path) -> Iterator[dict]:
-    """The objects of a JSONL file; ValueError names a line holding another value."""
+def load_jsonl(path: str | Path, decode=lambda data, position: data) -> list:
+    """``decode(object, position)`` for each object of a JSONL file, counting
+    positions from 0. ValueError names the file and line of a value that is
+    not an object, or of a field missing or of the wrong JSON type."""
+    out = []
     with io.open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -304,28 +319,30 @@ def load_jsonl(path: str | Path) -> Iterator[dict]:
                 data = json.loads(line)
                 if not isinstance(data, dict):
                     raise ValueError(f"{path}: line {number} is not a JSON object")
-                yield data
+                try:
+                    out.append(decode(data, len(out)))
+                except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                    raise ValueError(f"{path}: line {number}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 def load_records(path: str | Path) -> list[AnnotationRecord]:
-    return [
-        record_from_dict(data, default_doc_id=str(i))
-        for i, data in enumerate(load_jsonl(path))
-    ]
+    return load_jsonl(path, lambda data, position: record_from_dict(data, default_doc_id=str(position)))
 
 
 def save_records(records: Iterable[AnnotationRecord], path: str | Path):
     dump_jsonl((record_to_dict(r) for r in records), path)
 
 
+def repeated_ids(ids: Iterable[str]) -> list[str]:
+    """The ids that occur more than once, sorted."""
+    return sorted(doc_id for doc_id, n in Counter(ids).items() if n > 1)
+
+
 def load_corpus(path: str | Path) -> list[SourceDocument]:
     """Load a corpus JSONL (id, title, text); ids must be unique."""
-    docs = []
-    seen = set()
-    for data in load_jsonl(path):
-        doc = SourceDocument(id=str(data["id"]), text=data["text"], title=data.get("title"))
-        if doc.id in seen:
-            raise ValueError(f"duplicate document id {doc.id!r} in corpus")
-        seen.add(doc.id)
-        docs.append(doc)
+    docs = load_jsonl(path, lambda data, _: SourceDocument.from_dict(data))
+    duplicates = repeated_ids(d.id for d in docs)
+    if duplicates:
+        raise ValueError(f"duplicate document ids {duplicates} in corpus")
     return docs

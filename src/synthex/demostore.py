@@ -347,12 +347,16 @@ class DemoIndex:
     @classmethod
     def load(cls, path: str | Path) -> "DemoIndex":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: an index file holds one JSON object")
         if data.get("version") != INDEX_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported index format version {data.get('version')!r}; "
                 f"rebuild the index with `synthex index`"
             )
-        entries = data["entries"]
+        entries = data.get("entries")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"{path}: an index file holds a non-empty entries list")
         records = [record_from_dict(e["record"]) for e in entries]
         return cls(
             mode=data["mode"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import AnnotationRecord, SynthexError, normalize_surface
+from .core import AnnotationRecord, SynthexError, normalize_surface, repeated_ids
 from .inference import Prediction
 
 TASKS = ("mention_det", "entity_ident", "entity_class", "re_general", "re_strict")
@@ -267,16 +267,14 @@ def evaluate(
     """
     if mode not in (MODE_ALL, MODE_VALID_ONLY):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    by_id = {p.doc_id: p for p in predictions}
-    if len(by_id) < len(predictions):
-        counts = Counter(p.doc_id for p in predictions)
-        duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
+    duplicates = repeated_ids(p.doc_id for p in predictions)
+    if duplicates:
         raise DuplicatePredictionError(f"duplicate prediction doc ids: {duplicates}")
-    gold_ids = {g.doc_id for g in golds}
-    if len(gold_ids) < len(golds):
-        counts = Counter(g.doc_id for g in golds)
-        duplicates = sorted(doc_id for doc_id, n in counts.items() if n > 1)
+    duplicates = repeated_ids(g.doc_id for g in golds)
+    if duplicates:
         raise SynthexError(f"duplicate gold doc ids: {duplicates}")
+    by_id = {p.doc_id: p for p in predictions}
+    gold_ids = {g.doc_id for g in golds}
     unmatched = sorted(by_id.keys() - gold_ids)
     if unmatched:
         raise UnmatchedPredictionError(f"prediction doc ids with no gold document: {unmatched}")

@@ -298,12 +298,13 @@ def _check_depth(candidate: str):
                 return
 
 
-def extract_json_block(response: str) -> str:
-    """Pull the JSON payload out of a model response.
+def extract_json_block(response: str):
+    """The decoded JSON payload of a model response; the one place a
+    response is decoded.
 
     Prefers the first fenced block labeled ``json``; otherwise takes the first
-    object the stdlib decoder reads from the first ``{``. The result must
-    parse as strict JSON — single-quoted pseudo-JSON is a syntax error, not
+    object the stdlib decoder reads from the first ``{``. The payload must
+    be strict JSON — single-quoted pseudo-JSON is a syntax error, not
     something to repair, and so is nesting deeper than
     :data:`MAX_JSON_DEPTH`, whatever stack the caller runs on.
     """
@@ -312,16 +313,14 @@ def extract_json_block(response: str) -> str:
         if fence is not None:
             candidate = fence.group(1).strip()
             _check_depth(candidate)
-            json.loads(candidate)
-            return candidate
+            return json.loads(candidate)
         start = response.find("{")
         if start == -1:
             raise NoJsonFoundError("response contains no JSON object")
         # Decoding the slice keeps error positions relative to the candidate.
         candidate = response[start:]
         _check_depth(candidate)
-        _, end = _DECODER.raw_decode(candidate)
-        return candidate[:end]
+        return _DECODER.raw_decode(candidate)[0]
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
 

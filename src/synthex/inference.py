@@ -254,7 +254,6 @@ class InferencePipeline:
         self.params = GenerationParams(temperature=0.0, model_name=model_name, max_tokens=max_tokens)
 
     def infer(self, doc: SourceDocument, schema: Schema) -> Prediction:
-        schema.require_nonempty()
         demo = self.index.retrieve(doc.text, self.exclusions, k=1, embedder=self.embedder)[0]
 
         fragment = first_fragment(doc)

@@ -614,6 +614,7 @@ class TestIndexInferEval:
         dataset.write_text("", encoding="utf-8")
         code = main(["index", "--dataset", str(dataset), "--output", str(tmp_path / "i.json")])
         assert code == 1
+        assert "cannot build an index over zero records" in capsys.readouterr().err
 
 
 MODEL_CALL_FLAGS = {"--cache", "--replay", "--record", "--parallelism"}
@@ -734,8 +735,18 @@ class TestMalformedLocalInputs:
         ("infer", "[]", "a task file holds one JSON object"),
         ("infer", json.dumps({"schema": {"entity_types": "Person"}, "documents": []}), "schema holds entity_types"),
         ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": ["Alpha."]}), "documents are a list of objects"),
+        ("ingest", '{"id": "a", "text": 5}\n', "line 1: ValueError: document 'a': text and title must be strings"),
+        ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": [{"id": "q", "text": 5}]}),
+         "document 'q': text and title must be strings"),
+        ("infer", json.dumps({"schema": {**TASK_SCHEMA, "entity_types": [1]}, "documents": [{"id": "q", "text": "A."}]}),
+         "schema entity_types must be strings, got 1"),
+        ("infer", json.dumps({"schema": {**TASK_SCHEMA, "entity_types": []}, "documents": [{"id": "q", "text": "A."}]}),
+         "schema must list at least one entity type"),
+        ("stats", json.dumps({**UNI_VIENNA_DICT, "entities": 5}), "bad.jsonl: line 1: TypeError"),
+        ("eval", f"\n{json.dumps({'doc_id': 'd', 'valid': True, 'entities': 5})}\n", "bad.jsonl: line 2: TypeError"),
     ], ids=["ingest", "stats", "stats-top-k", "index", "postprocess", "eval", "infer-list", "infer-schema",
-            "infer-documents"])
+            "infer-documents", "ingest-text-type", "infer-text-type", "infer-schema-type", "infer-empty-schema",
+            "stats-entities-type", "eval-entities-type"])
     def test_reported_as_an_error(self, tmp_path, capsys, command, content, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content, encoding="utf-8")
@@ -755,6 +766,29 @@ class TestMalformedLocalInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+
+class TestMalformedIndexFiles:
+    """An index file that is not an object or holds no entries list is refused,
+    naming the file, before any model call."""
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"version": 2, "mode": "fallback", "min_words": 100},
+        {"version": 2, "mode": "fallback", "min_words": 100, "entries": {}},
+        {"version": 2, "mode": "fallback", "min_words": 100, "entries": []},
+    ], ids=["list", "no-entries", "entries-object", "entries-empty"])
+    def test_reported_as_an_error(self, tmp_path, capsys, uni_vienna_record, payload):
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        index_path = tmp_path / "bad-index.json"
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        output = tmp_path / "preds.jsonl"
+        argv = ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(output)]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: an index file holds ")
+        assert not output.exists()
 
 
 class TestConfig:

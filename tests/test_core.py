@@ -157,7 +157,7 @@ class TestRecordPersistence:
             [{"id": "a", "text": "one"}, {"id": "a", "text": "two"}],
             path,
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"duplicate document ids \['a'\] in corpus"):
             load_corpus(path)
 
 

@@ -298,13 +298,13 @@ class TestMapContained:
 
 class TestExtractJsonBlock:
     def test_fenced_block(self):
-        assert extract_json_block('text ```json\n{"a": 1}\n``` tail') == '{"a": 1}'
+        assert extract_json_block('text ```json\n{"a": 1}\n``` tail') == {"a": 1}
 
     def test_balanced_brace_fallback(self):
-        assert extract_json_block('prefix {"a": {"b": 2}} suffix') == '{"a": {"b": 2}}'
+        assert extract_json_block('prefix {"a": {"b": 2}} suffix') == {"a": {"b": 2}}
 
     def test_braces_inside_strings(self):
-        assert extract_json_block('x {"a": "}{"} y') == '{"a": "}{"}'
+        assert extract_json_block('x {"a": "}{"} y') == {"a": "}{"}
 
     def test_no_braces(self):
         with pytest.raises(NoJsonFoundError):
@@ -334,7 +334,7 @@ class TestExtractJsonBlock:
     def test_nesting_at_the_cap_is_accepted(self):
         blob = self._nested(MAX_JSON_DEPTH)
         for response in (f"x {blob} y", f"```json\n{blob}\n```"):
-            assert extract_json_block(response) == blob
+            assert extract_json_block(response) == json.loads(blob)
 
     def test_nesting_past_the_cap_is_a_syntax_error_on_any_stack(self):
         blob = self._nested(MAX_JSON_DEPTH + 1)
@@ -351,8 +351,8 @@ class TestExtractJsonBlock:
 
     def test_brackets_inside_strings_do_not_count_toward_the_cap(self):
         blob = '{"a": "' + "[{" * MAX_JSON_DEPTH + '", "b": [1]}'
-        assert extract_json_block(f"x {blob} y") == blob
-        assert extract_json_block(f'x {blob} {self._nested(MAX_JSON_DEPTH + 1)}') == blob
+        assert extract_json_block(f"x {blob} y") == json.loads(blob)
+        assert extract_json_block(f'x {blob} {self._nested(MAX_JSON_DEPTH + 1)}') == json.loads(blob)
 
     def test_result_always_parses(self):
         import random
@@ -364,7 +364,7 @@ class TestExtractJsonBlock:
             response = rng.choice(
                 [f"Sure! ```json\n{blob}\n``` done", f"Answer: {blob} trailing", blob]
             )
-            assert json.loads(extract_json_block(response)) == obj
+            assert extract_json_block(response) == obj
 
 
 class TestExtractBoxed:

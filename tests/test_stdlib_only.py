@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: every import in the package names a standard
 library module or the package itself. Threads and worker pools are made in
-one place, ``gateway.map_contained``."""
+one place, ``gateway.map_contained``, and model responses are decoded in one
+place, ``gateway.extract_json_block``."""
 
 import ast
 import sys
@@ -36,6 +37,12 @@ def test_package_imports_only_stdlib_and_itself():
 POOL_CONSTRUCTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
 
 
+def _called_name(call: ast.Call):
+    """The name a call uses, bare or as an attribute."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _pool_constructions(tree: ast.AST):
     """``(enclosing function, constructor)`` for each call that makes a pool or
     a thread, whether the name is used bare, as an attribute or imported
@@ -48,8 +55,7 @@ def _pool_constructions(tree: ast.AST):
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
-                func = child.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                called = _called_name(child)
                 if called in names:
                     yield function, names[called]
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
@@ -64,3 +70,21 @@ def test_pools_and_threads_are_made_only_in_map_contained():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites += [(path.name, function, name) for function, name in _pool_constructions(tree)]
     assert sites == [("gateway.py", "map_contained", "ThreadPoolExecutor")]
+
+
+DECODERS = {"loads", "raw_decode"}
+# The modules that read model responses; each goes through extract_json_block.
+RESPONSE_READERS = ("annotator.py", "inference.py", "postprocess.py")
+
+
+def test_response_readers_call_no_json_decoder():
+    calls = []
+    for name in RESPONSE_READERS:
+        path = PACKAGE_DIR / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [
+            f"{name}:{node.lineno}: {_called_name(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) in DECODERS
+        ]
+    assert calls == []
