@@ -44,7 +44,7 @@ from .core import (
     repeated_ids,
     save_records,
 )
-from .demostore import DemoIndex, ExclusionList, ProviderEmbedder, build_index
+from .demostore import INDEX_MODES, DemoIndex, ExclusionList, ProviderEmbedder, build_index
 from .evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate
 from .gateway import ChatGateway, map_contained
 from .inference import InferencePipeline, prediction_from_dict, prediction_to_dict
@@ -91,7 +91,7 @@ class RunConfig:
             raise ValueError("top_k must be >= 1")
         if self.gateway_mode not in ("record", "replay"):
             raise ValueError(f"unknown gateway_mode {self.gateway_mode!r}")
-        if self.embedding_mode not in ("fallback", "provider"):
+        if self.embedding_mode not in INDEX_MODES:
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
 
     @classmethod
@@ -134,9 +134,10 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def workers(self, embedder: ProviderEmbedder | None = None) -> int:
-        """Pool size for a stage that calls a model, chat or embeddings. A
-        replayed stage with no provider embedder never waits on the network,
-        so more threads would only contend for the interpreter lock."""
+        """Pool size for a stage that calls a model, chat or embeddings: the
+        one rule for whether its calls run in the calling thread. A replayed
+        stage with no provider embedder never waits on the network, so more
+        threads would only contend for the interpreter lock."""
         if self.gateway_mode == "replay" and embedder is None:
             return 1
         return self.parallelism
@@ -470,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build the demonstration similarity index")
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--embedding-mode", choices=["fallback", "provider"], dest="embedding_mode")
+    p.add_argument("--embedding-mode", choices=INDEX_MODES, dest="embedding_mode")
     p.add_argument("--min-words", type=int, dest="min_words", help="truncation word bound")
     p.set_defaults(func=cmd_index)
 

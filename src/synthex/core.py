@@ -262,6 +262,9 @@ def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
     entities = tuple(map(Entity.from_dict, data.get("entities", [])))
     triples = tuple(map(Triple.from_dict, data.get("relations", data.get("triples", []))))
     annotated_text = data.get("annotated_text", data.get("text_with_spans", ""))
+    text = data["text"]
+    if not isinstance(text, str) or not isinstance(annotated_text, str):
+        raise TypeError("text and annotated_text must be strings")
     if "mentions" in data:
         mentions = tuple(map(Mention.from_dict, data["mentions"]))
     else:
@@ -273,7 +276,7 @@ def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
     relation_types = tuple(data.get("relation_types") or derive_relation_types(triples))
     return AnnotationRecord(
         doc_id=str(data.get("doc_id", default_doc_id)),
-        text=data["text"],
+        text=text,
         annotated_text=annotated_text,
         entities=entities,
         mentions=mentions,
@@ -307,22 +310,30 @@ def dump_jsonl(items: Iterable[dict], path: str | Path):
             fh.write("\n")
 
 
+def decode_object(data, decode, where: str):
+    """``decode(data)`` for one JSON object of a local file. ValueError names
+    ``where`` (the file and the place in it) when ``data`` is not an object,
+    or when ``decode`` finds a field missing, of the wrong JSON type, out of
+    range or otherwise invalid."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    try:
+        return decode(data)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, SynthexError) as exc:
+        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_jsonl(path: str | Path, decode=lambda data, position: data) -> list:
     """``decode(object, position)`` for each object of a JSONL file, counting
-    positions from 0. ValueError names the file and line of a value that is
-    not an object, or of a field missing or of the wrong JSON type."""
+    positions from 0, under :func:`decode_object`'s rule: errors name the
+    file and line."""
     out = []
     with io.open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError(f"{path}: line {number} is not a JSON object")
-                try:
-                    out.append(decode(data, len(out)))
-                except (KeyError, TypeError, AttributeError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {number}: {type(exc).__name__}: {exc}") from exc
+                out.append(decode_object(data, lambda obj: decode(obj, len(out)), f"{path}: line {number}"))
     return out
 
 

@@ -43,12 +43,14 @@ from .core import (
     AnnotationRecord,
     SynthexError,
     atomic_writer,
+    decode_object,
     record_from_dict,
     record_to_dict,
 )
 from .gateway import GatewayError, map_contained, post_json
 
 INDEX_FORMAT_VERSION = 2
+INDEX_MODES = ("fallback", "provider")
 
 
 class ProviderError(GatewayError):
@@ -354,17 +356,25 @@ class DemoIndex:
                 f"unsupported index format version {data.get('version')!r}; "
                 f"rebuild the index with `synthex index`"
             )
-        entries = data.get("entries")
+        mode, min_words, entries = data.get("mode"), data.get("min_words"), data.get("entries")
+        if mode not in INDEX_MODES:
+            raise ValueError(f"{path}: an index file's mode is one of {INDEX_MODES}, not {mode!r}")
+        if isinstance(min_words, bool) or not isinstance(min_words, int) or min_words < 1:
+            raise ValueError(f"{path}: an index file's min_words is a positive integer, not {min_words!r}")
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"{path}: an index file holds a non-empty entries list")
-        records = [record_from_dict(e["record"]) for e in entries]
-        return cls(
-            mode=data["mode"],
-            records=records,
-            truncated_texts=[r.text[: e["truncated_chars"]] for r, e in zip(records, entries)],
-            min_words=data["min_words"],
-            vectors=[e["vector"] for e in entries] if data["mode"] == "provider" else None,
-        )
+
+        def decode(entry):
+            record = record_from_dict(entry["record"])
+            chars = entry["truncated_chars"]
+            if isinstance(chars, bool) or not isinstance(chars, int):
+                raise TypeError(f"truncated_chars must be an integer, not {chars!r}")
+            vector = [float(x) for x in entry["vector"]] if mode == "provider" else None
+            return record, record.text[:chars], vector
+
+        decoded = [decode_object(e, decode, f"{path}: entry {i}") for i, e in enumerate(entries)]
+        records, texts, vectors = (list(column) for column in zip(*decoded))
+        return cls(mode, records, texts, min_words, vectors if mode == "provider" else None)
 
 
 def _embed_all(embedder, texts: list[str], parallelism: int) -> list[list[float]]:

@@ -1,10 +1,11 @@
 """Chat-completion endpoint access with deterministic record/replay.
 
-Every chat call goes through :class:`ChatGateway` and its on-disk cache, keyed
-by a content hash of (model, temperature, prompt). In ``record`` mode unseen
-prompts are fetched over HTTP and cached; reruns never touch the network. In
-``replay`` mode the cache is the only source, so a corpus plus a populated
-cache reproduces every downstream artifact byte-for-byte.
+Every chat call goes through :meth:`ChatGateway.complete`, the one reader of
+the on-disk cache, keyed by a content hash of (model, temperature, prompt); a
+stage with many prompts maps it over :func:`map_contained`. In ``record``
+mode unseen prompts are fetched over HTTP and cached; reruns never touch the
+network. In ``replay`` mode the cache is the only source, so a corpus plus a
+populated cache reproduces every downstream artifact byte-for-byte.
 
 Also hosts :func:`map_contained`, the one worker pool; :func:`post_json`, the
 one HTTP POST-with-retry helper (the embeddings client uses it too); and the
@@ -134,24 +135,6 @@ class ChatGateway:
         text = self._call_endpoint(prompt, params)
         self.store(prompt, params, text)
         return text
-
-    def complete_many(self, prompts: list[str], params: GenerationParams, parallelism: int) -> list[tuple]:
-        """One ``(text, None)`` or ``(None, GatewayError)`` per prompt, in input order.
-
-        Each distinct prompt's cache entry is read in the calling thread; the
-        distinct prompts without a usable entry each go through
-        :meth:`complete` once, on :func:`map_contained`'s pool.
-        """
-        answers: dict[str, tuple] = {}
-        uncached = []
-        for prompt in dict.fromkeys(prompts):
-            try:
-                answers[prompt] = self._read_cache(cache_key(prompt, params), prompt, params), None
-            except CacheMissError:
-                uncached.append(prompt)
-        fetched = map_contained(lambda prompt: self.complete(prompt, params), uncached, parallelism)
-        answers.update(zip(uncached, fetched))
-        return [answers[prompt] for prompt in prompts]
 
     def store(self, prompt: str, params: GenerationParams, response_text: str):
         """Write one exchange to the cache (also seeds fixtures and imports)."""

@@ -21,7 +21,7 @@ from .core import (
     derive_relation_types,
     normalize_surface,
 )
-from .gateway import ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed
+from .gateway import ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed, map_contained
 
 KEEP = "keep"
 INCONSISTENT = "inconsistent"
@@ -165,7 +165,8 @@ class PostProcessor:
     def collect_verdicts(
         self, records: list[AnnotationRecord], parallelism: int = 1
     ) -> list[tuple[list[TripleVerdict] | None, GatewayError | None]]:
-        """One model call per distinct verdict prompt at temperature 0, no retry.
+        """One :meth:`ChatGateway.complete` per distinct verdict prompt at
+        temperature 0, no retry, on :func:`map_contained`'s pool.
 
         Returns ``(verdicts, None)`` per record in input order, or
         ``(None, error)`` for a record with a failed call, carrying the error
@@ -178,12 +179,14 @@ class PostProcessor:
             for record in records
             for triple in record.triples
         ]
-        answers = self.gateway.complete_many(prompts, self.params, parallelism)
+        distinct = list(dict.fromkeys(prompts))
+        calls = map_contained(lambda prompt: self.gateway.complete(prompt, self.params), distinct, parallelism)
+        answers = dict(zip(distinct, calls))
         collected = []
         end = 0
         for record in records:
             start, end = end, end + len(record.triples)
-            doc_answers = answers[start:end]
+            doc_answers = [answers[prompt] for prompt in prompts[start:end]]
             failures = [error for _, error in doc_answers if error is not None]
             if failures:
                 collected.append((None, failures[0]))

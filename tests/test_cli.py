@@ -744,9 +744,16 @@ class TestMalformedLocalInputs:
          "schema must list at least one entity type"),
         ("stats", json.dumps({**UNI_VIENNA_DICT, "entities": 5}), "bad.jsonl: line 1: TypeError"),
         ("eval", f"\n{json.dumps({'doc_id': 'd', 'valid': True, 'entities': 5})}\n", "bad.jsonl: line 2: TypeError"),
+        ("stats", json.dumps({"doc_id": "d", "text": "x", "annotated_text": '<ent id="0">x'}),
+         "bad.jsonl: line 1: MalformedAttributesError: ent tag at offset 0 has no type attribute"),
+        ("index", json.dumps({**UNI_VIENNA_DICT, "text": 5}),
+         "bad.jsonl: line 1: TypeError: text and annotated_text must be strings"),
+        ("stats", json.dumps({**UNI_VIENNA_DICT, "entities": [{"id": float("inf"), "name": "a", "type": "T"}]}),
+         "bad.jsonl: line 1: OverflowError"),
     ], ids=["ingest", "stats", "stats-top-k", "index", "postprocess", "eval", "infer-list", "infer-schema",
             "infer-documents", "ingest-text-type", "infer-text-type", "infer-schema-type", "infer-empty-schema",
-            "stats-entities-type", "eval-entities-type"])
+            "stats-entities-type", "eval-entities-type", "stats-bad-markup", "index-text-type",
+            "stats-id-out-of-range"])
     def test_reported_as_an_error(self, tmp_path, capsys, command, content, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content, encoding="utf-8")
@@ -769,8 +776,9 @@ class TestMalformedLocalInputs:
 
 
 class TestMalformedIndexFiles:
-    """An index file that is not an object or holds no entries list is refused,
-    naming the file, before any model call."""
+    """An index file that is not an object, holds no entries list, or holds an
+    entry or field of the wrong shape is refused, naming the file, before any
+    model call."""
 
     @pytest.mark.parametrize("payload", [
         [],
@@ -788,6 +796,33 @@ class TestMalformedIndexFiles:
         assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {index_path}: an index file holds ")
+        assert not output.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda index: index.update(entries=[5]), "entry 0 is not a JSON object"),
+        (lambda index: index["entries"][0]["record"].update(text=5),
+         "entry 0: TypeError: text and annotated_text must be strings"),
+        (lambda index: index["entries"][0].update(truncated_chars="40"), "entry 0: TypeError: truncated_chars"),
+        (lambda index: index.update(mode="provider", entries=[{**index["entries"][0], "vector": ["a"]}]),
+         "entry 0: ValueError: could not convert string to float"),
+        (lambda index: index.update(mode="provider", entries=[{**index["entries"][0], "vector": [10**400]}]),
+         "entry 0: OverflowError: int too large to convert to float"),
+        (lambda index: index.pop("mode"), "an index file's mode is one of"),
+        (lambda index: index.update(min_words="x"), "an index file's min_words is a positive integer, not 'x'"),
+    ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "vector-item-type",
+            "vector-item-range", "no-mode", "min-words-type"])
+    def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        index_path = tmp_path / "index.json"
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        edit(index)
+        index_path.write_text(json.dumps(index), encoding="utf-8")
+        output = tmp_path / "preds.jsonl"
+        argv = ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(output)]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: ") and message in err
         assert not output.exists()
 
 

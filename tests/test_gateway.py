@@ -23,7 +23,7 @@ from synthex.gateway import (
     map_contained,
 )
 
-from conftest import ChatStubHandler, request_prompts
+from conftest import ChatStubHandler
 
 
 PARAMS = GenerationParams(temperature=0.0, model_name="m1")
@@ -221,22 +221,6 @@ class TestCacheIntegrity:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(CacheMissError, match="response_text"):
             gateway.complete("ping", PARAMS)
-
-
-class TestCompleteMany:
-    def test_one_fetch_per_distinct_uncached_prompt(self, stub_server, tmp_path):
-        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=stub_server)
-        gateway.store("cached", PARAMS, "stored")
-        results = gateway.complete_many(["ping", "cached", "pong", "ping"], PARAMS, parallelism=2)
-        assert results == [("canned reply", None), ("stored", None), ("canned reply", None), ("canned reply", None)]
-        assert sorted(request_prompts()) == ["ping", "pong"]
-
-    def test_replay_miss_costs_only_its_prompt(self, tmp_path):
-        gateway = ChatGateway(cache_dir=tmp_path, mode="replay")
-        gateway.store("cached", PARAMS, "stored")
-        (text, error), missed = gateway.complete_many(["cached", "never seen"], PARAMS, parallelism=2)
-        assert (text, error) == ("stored", None)
-        assert missed[0] is None and isinstance(missed[1], CacheMissError)
 
 
 class TestMapContained:

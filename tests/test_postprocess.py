@@ -307,6 +307,16 @@ class TestVerdictScheduling:
         offline = ChatGateway(cache_dir=tmp_path / "cache", mode="replay")
         assert [offline.complete(prompt, params_for(MODEL, 0.0)) for prompt in later] == ["\\boxed{A}"] * 2
 
+    def test_record_mode_fetches_only_unstored_prompts(self, record_processor):
+        record = _record_with_predicates("d", ["p1", "p2", "p3"])
+        stored, *fetched = _verdict_prompts(record)
+        record_processor.gateway.store(stored, params_for(MODEL, 0.0), "\\boxed{B}")
+        kept, drop_log = record_processor.process([record], parallelism=2)
+        assert sorted(request_prompts()) == sorted(fetched)
+        # The stored verdict, not a fetched one, discards the first predicate.
+        assert kept[0].triples == record.triples[1:]
+        assert [(e.doc_id, e.stage) for e in drop_log] == [("d", STAGE_TRIPLE_VERIFY)]
+
     @pytest.mark.parametrize("missing", [(1,), (1, 2)])
     def test_replay_miss_drops_only_its_document(self, tmp_path, missing):
         partial = _record_with_predicates("partial", ["p1", "p2", "p3"])

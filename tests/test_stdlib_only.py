@@ -1,7 +1,8 @@
 """The runtime is stdlib-only: every import in the package names a standard
 library module or the package itself. Threads and worker pools are made in
-one place, ``gateway.map_contained``, and model responses are decoded in one
-place, ``gateway.extract_json_block``."""
+one place, ``gateway.map_contained``; model responses are decoded in one
+place, ``gateway.extract_json_block``; and the chat cache is read in one
+place, ``ChatGateway.complete``, so every chat call takes that one path."""
 
 import ast
 import sys
@@ -43,25 +44,35 @@ def _called_name(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def _calls(tree: ast.AST):
+    """``(scope, call)`` for each call, where ``scope`` is the dotted name of
+    the enclosing classes and functions, such as ``ChatGateway.complete``, or
+    None at module level."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield scope, child
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
 def _pool_constructions(tree: ast.AST):
-    """``(enclosing function, constructor)`` for each call that makes a pool or
-    a thread, whether the name is used bare, as an attribute or imported
-    under another name."""
+    """``(scope, constructor)`` for each call that makes a pool or a thread,
+    whether the name is used bare, as an attribute or imported under another
+    name."""
     names = {name: name for name in POOL_CONSTRUCTORS}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names.update({a.asname: a.name for a in node.names if a.name in POOL_CONSTRUCTORS and a.asname})
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                called = _called_name(child)
-                if called in names:
-                    yield function, names[called]
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            yield from visit(child, inner)
-
-    yield from visit(tree, None)
+    for scope, call in _calls(tree):
+        called = _called_name(call)
+        if called in names:
+            yield scope, names[called]
 
 
 def test_pools_and_threads_are_made_only_in_map_contained():
@@ -88,3 +99,11 @@ def test_response_readers_call_no_json_decoder():
             if isinstance(node, ast.Call) and _called_name(node) in DECODERS
         ]
     assert calls == []
+
+
+def test_chat_cache_is_read_only_in_complete():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "_read_cache"]
+    assert sites == [("gateway.py", "ChatGateway.complete")]
