@@ -39,6 +39,7 @@ from .core import (
     atomic_writer,
     dump_jsonl,
     load_corpus,
+    load_json,
     load_jsonl,
     load_records,
     repeated_ids,
@@ -98,22 +99,22 @@ class RunConfig:
     def load(cls, path: str | None) -> "RunConfig":
         config = cls()
         if path:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("a config file holds one JSON object")
-            types = {f.name: f.type for f in fields(cls)}
-            unknown = set(data) - set(types)
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            for key, value in data.items():
-                if isinstance(value, bool) or not isinstance(value, CONFIG_VALUE_TYPES[types[key]]):
-                    raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
-                setattr(config, key, value)
+            load_json(path, config._set_fields)
         if os.environ.get(CHAT_URL_ENV):
             config.chat_base_url = os.environ[CHAT_URL_ENV]
         if os.environ.get(EMBED_URL_ENV):
             config.embed_base_url = os.environ[EMBED_URL_ENV]
         return config
+
+    def _set_fields(self, data: dict):
+        types = {f.name: f.type for f in fields(self)}
+        unknown = set(data) - set(types)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, CONFIG_VALUE_TYPES[types[key]]):
+                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
+            setattr(self, key, value)
 
     def apply_flags(self, args: argparse.Namespace):
         if getattr(args, "cache", None):
@@ -363,24 +364,25 @@ def cmd_index(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_infer(args, config: RunConfig) -> int:
-    task = json.loads(Path(args.task).read_text(encoding="utf-8"))
-    if not isinstance(task, dict):
-        raise ValueError("a task file holds one JSON object")
-    spec = task.get("schema") if isinstance(task.get("schema"), dict) else {}
+def _read_task(data: dict) -> tuple[Schema, list[SourceDocument]]:
+    """The schema and documents of a task file's object."""
+    spec = data.get("schema") if isinstance(data.get("schema"), dict) else {}
     if not (isinstance(spec.get("entity_types"), list) and isinstance(spec.get("relation_types"), list)):
         raise ValueError("a task file's schema holds entity_types and relation_types lists")
-    documents = task.get("documents")
-    if not isinstance(documents, list) or not all(isinstance(d, dict) for d in documents):
-        raise ValueError("a task file's documents are a list of objects")
+    documents = data.get("documents")
+    if not isinstance(documents, list) or not documents or not all(isinstance(d, dict) for d in documents):
+        raise ValueError("a task file's documents are a list of objects, at least one")
     schema = Schema.from_lists(spec["entity_types"], spec["relation_types"])
     schema.require_nonempty()
     docs = [SourceDocument.from_dict(d) for d in documents]
-    if not docs:
-        raise SynthexError("task file contains no documents")
     duplicates = repeated_ids(d.id for d in docs)
     if duplicates:
         raise ValueError(f"duplicate document ids {duplicates} in task file")
+    return schema, docs
+
+
+def cmd_infer(args, config: RunConfig) -> int:
+    schema, docs = load_json(args.task, _read_task)
     index = DemoIndex.load(args.index)
     exclusions = ExclusionList.from_file(args.exclusions) if args.exclusions else None
     embedder = config.make_embedder(index.mode)
@@ -503,8 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.load(args.config)
         config.apply_flags(args)
         return args.func(args, config)
-    # json.loads raises RecursionError on a local file nested too deep.
-    except (SynthexError, OSError, ValueError, KeyError, RecursionError) as exc:
+    except (SynthexError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

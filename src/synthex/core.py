@@ -11,7 +11,6 @@ block is built from those.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import uuid
@@ -310,17 +309,23 @@ def dump_jsonl(items: Iterable[dict], path: str | Path):
             fh.write("\n")
 
 
-def decode_object(data, decode, where: str):
-    """``decode(data)`` for one JSON object of a local file. ValueError names
-    ``where`` (the file and the place in it) when ``data`` is not an object,
-    or when ``decode`` finds a field missing, of the wrong JSON type, out of
-    range or otherwise invalid."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} is not a JSON object")
+def decode_object(text: bytes, decode, where: str):
+    """``decode(object)`` for the UTF-8 bytes of one JSON object of a local
+    file; the one place a local file is parsed. ValueError names ``where`` (the
+    file and the place in it) when ``text`` is not UTF-8, JSON or an object,
+    or when ``decode`` finds a field missing, of the wrong type or invalid."""
     try:
-        return decode(data)
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, SynthexError) as exc:
+        data = json.loads(text.decode("utf-8"))
+        if isinstance(data, dict):
+            return decode(data)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError, SynthexError) as exc:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    raise ValueError(f"{where} is not a JSON object")
+
+
+def load_json(path: str | Path, decode):
+    """``decode(object)`` for a file of one JSON object; errors name the file."""
+    return decode_object(Path(path).read_bytes(), decode, str(path))
 
 
 def load_jsonl(path: str | Path, decode=lambda data, position: data) -> list:
@@ -328,12 +333,11 @@ def load_jsonl(path: str | Path, decode=lambda data, position: data) -> list:
     positions from 0, under :func:`decode_object`'s rule: errors name the
     file and line."""
     out = []
-    with io.open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                data = json.loads(line)
-                out.append(decode_object(data, lambda obj: decode(obj, len(out)), f"{path}: line {number}"))
+                out.append(decode_object(line, lambda obj: decode(obj, len(out)), f"{path}: line {number}"))
     return out
 
 

@@ -22,9 +22,10 @@ over the dense vectors: the zero terms of the dense dot product and norms add
 exactly 0.0, so summing the nonzero terms in position order with ``sum()``
 gives the same sums. Entries sharing no token score 0.0, and so does every
 entry for a query with no token in the vocabulary. The vocabulary and weights
-are derived from the truncated texts when an index is built or loaded; the
-file stores each truncated text as the length of its prefix of the record
-text, and only provider vectors.
+are derived from the truncated texts when an index is built or loaded. The
+file (format v3) is JSONL: a header line of ``version``, ``mode`` and
+``min_words``, then one entry per line holding a record, its truncated text as
+the length of its prefix of the record text and, in provider mode, its vector.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ from .annotator import truncate_text
 from .core import (
     AnnotationRecord,
     SynthexError,
-    atomic_writer,
-    decode_object,
+    dump_jsonl,
+    load_jsonl,
     record_from_dict,
     record_to_dict,
 )
 from .gateway import GatewayError, map_contained, post_json
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 INDEX_MODES = ("fallback", "provider")
 
 
@@ -157,7 +158,7 @@ class ProviderEmbedder:
             )
             embedding = json.loads(raw)["data"][0]["embedding"]
             vector = [float(x) for x in embedding] if isinstance(embedding, list) else []
-        except (GatewayError, RecursionError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (GatewayError, RecursionError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
         if not vector:
             raise ProviderError("embeddings endpoint returned no vector")
@@ -331,50 +332,45 @@ class DemoIndex:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path):
-        entries = []
-        for entry in self.entries:
-            item = {"truncated_chars": len(entry.truncated_text), "record": record_to_dict(entry.record)}
-            if entry.stored_vector is not None:
-                item["vector"] = list(entry.stored_vector)
-            entries.append(item)
-        payload = {
-            "version": INDEX_FORMAT_VERSION,
-            "mode": self.mode,
-            "min_words": self.min_words,
-            "entries": entries,
-        }
-        with atomic_writer(path) as fh:
-            fh.write(json.dumps(payload, ensure_ascii=False))
+        def lines():
+            yield {"version": INDEX_FORMAT_VERSION, "mode": self.mode, "min_words": self.min_words}
+            for entry in self.entries:
+                item = {"truncated_chars": len(entry.truncated_text), "record": record_to_dict(entry.record)}
+                if entry.stored_vector is not None:
+                    item["vector"] = list(entry.stored_vector)
+                yield item
+
+        dump_jsonl(lines(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "DemoIndex":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: an index file holds one JSON object")
-        if data.get("version") != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported index format version {data.get('version')!r}; "
-                f"rebuild the index with `synthex index`"
-            )
-        mode, min_words, entries = data.get("mode"), data.get("min_words"), data.get("entries")
-        if mode not in INDEX_MODES:
-            raise ValueError(f"{path}: an index file's mode is one of {INDEX_MODES}, not {mode!r}")
-        if isinstance(min_words, bool) or not isinstance(min_words, int) or min_words < 1:
-            raise ValueError(f"{path}: an index file's min_words is a positive integer, not {min_words!r}")
-        if not isinstance(entries, list) or not entries:
-            raise ValueError(f"{path}: an index file holds a non-empty entries list")
+        header = {}
 
-        def decode(entry):
-            record = record_from_dict(entry["record"])
-            chars = entry["truncated_chars"]
+        def decode(data, position):
+            if position == 0:
+                version, mode, min_words = data.get("version"), data.get("mode"), data.get("min_words")
+                if version != INDEX_FORMAT_VERSION:
+                    raise ValueError(
+                        f"unsupported index format version {version!r}; rebuild the index with `synthex index`"
+                    )
+                if mode not in INDEX_MODES:
+                    raise ValueError(f"an index file's mode is one of {INDEX_MODES}, not {mode!r}")
+                if isinstance(min_words, bool) or not isinstance(min_words, int) or min_words < 1:
+                    raise ValueError(f"an index file's min_words is a positive integer, not {min_words!r}")
+                header.update(mode=mode, min_words=min_words)
+                return header
+            record = record_from_dict(data["record"])
+            chars = data["truncated_chars"]
             if isinstance(chars, bool) or not isinstance(chars, int):
                 raise TypeError(f"truncated_chars must be an integer, not {chars!r}")
-            vector = [float(x) for x in entry["vector"]] if mode == "provider" else None
+            vector = [float(x) for x in data["vector"]] if header["mode"] == "provider" else None
             return record, record.text[:chars], vector
 
-        decoded = [decode_object(e, decode, f"{path}: entry {i}") for i, e in enumerate(entries)]
-        records, texts, vectors = (list(column) for column in zip(*decoded))
-        return cls(mode, records, texts, min_words, vectors if mode == "provider" else None)
+        entries = load_jsonl(path, decode)[1:]
+        if not entries:
+            raise ValueError(f"{path}: an index file holds a header line and at least one entry")
+        records, texts, vectors = (list(column) for column in zip(*entries))
+        return cls(header["mode"], records, texts, header["min_words"], vectors)
 
 
 def _embed_all(embedder, texts: list[str], parallelism: int) -> list[list[float]]:

@@ -533,7 +533,8 @@ class TestIndexInferEval:
         config = _write_config(tmp_path, gateway_mode="record")
         code, predictions_path = self._infer(tmp_path, task_path, index_path, config)
         assert code == 1
-        assert capsys.readouterr().err == "error: duplicate document ids ['q1', 'q2'] in task file\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {task_path}: ValueError: duplicate document ids ['q1', 'q2'] in task file\n"
         assert not predictions_path.exists()
 
     def test_infer_out_of_vocabulary_query_takes_lowest_eligible_demo(self, tmp_path, capsys):
@@ -694,8 +695,8 @@ class TestFlags:
 
 
 class TestDeeplyNestedLocalFiles:
-    """A local JSON file nested too deep for the decoder is an error line and
-    exit 1, never a traceback."""
+    """A local JSON file nested too deep for the decoder is an error line
+    naming the file and exit 1, never a traceback."""
 
     @pytest.mark.parametrize("kind", ["config", "task", "index", "jsonl"])
     def test_reported_as_an_error(self, tmp_path, capsys, uni_vienna_record, kind):
@@ -714,7 +715,8 @@ class TestDeeplyNestedLocalFiles:
         }[kind]
         capsys.readouterr()
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: maximum recursion depth exceeded")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: ") and "RecursionError: maximum recursion depth exceeded" in err
         assert not output.exists()
 
 
@@ -732,9 +734,11 @@ class TestMalformedLocalInputs:
         ("index", f"{RECORD_LINE}\n[1, 2]\n", "line 2 is not a JSON object"),
         ("postprocess", f"{RECORD_LINE}\n[1, 2]\n", "line 2 is not a JSON object"),
         ("eval", "[1, 2]\n", "line 1 is not a JSON object"),
-        ("infer", "[]", "a task file holds one JSON object"),
+        ("infer", "[]", "bad.jsonl is not a JSON object"),
         ("infer", json.dumps({"schema": {"entity_types": "Person"}, "documents": []}), "schema holds entity_types"),
         ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": ["Alpha."]}), "documents are a list of objects"),
+        ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": []}),
+         "documents are a list of objects, at least one"),
         ("ingest", '{"id": "a", "text": 5}\n', "line 1: ValueError: document 'a': text and title must be strings"),
         ("infer", json.dumps({"schema": TASK_SCHEMA, "documents": [{"id": "q", "text": 5}]}),
          "document 'q': text and title must be strings"),
@@ -751,8 +755,8 @@ class TestMalformedLocalInputs:
         ("stats", json.dumps({**UNI_VIENNA_DICT, "entities": [{"id": float("inf"), "name": "a", "type": "T"}]}),
          "bad.jsonl: line 1: OverflowError"),
     ], ids=["ingest", "stats", "stats-top-k", "index", "postprocess", "eval", "infer-list", "infer-schema",
-            "infer-documents", "ingest-text-type", "infer-text-type", "infer-schema-type", "infer-empty-schema",
-            "stats-entities-type", "eval-entities-type", "stats-bad-markup", "index-text-type",
+            "infer-documents", "infer-no-documents", "ingest-text-type", "infer-text-type", "infer-schema-type",
+            "infer-empty-schema", "stats-entities-type", "eval-entities-type", "stats-bad-markup", "index-text-type",
             "stats-id-out-of-range"])
     def test_reported_as_an_error(self, tmp_path, capsys, command, content, message):
         bad = tmp_path / "bad.jsonl"
@@ -774,55 +778,89 @@ class TestMalformedLocalInputs:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, content, message", [
+        ("records", b'{"id": "a", "text": "x"', "line 1: JSONDecodeError: Expecting ',' delimiter"),
+        ("index", b'{"version": 3, "mode": ', "line 1: JSONDecodeError: Expecting value"),
+        ("config", b'{"model_name": ', "JSONDecodeError: Expecting value"),
+        ("task", json.dumps({"schema": TASK_SCHEMA, "documents": [{"id": "q"}]}).encode(), "KeyError: 'text'"),
+        ("records", RECORD_LINE.encode() + b"\n\xff\n", "line 2: UnicodeDecodeError: 'utf-8' codec can't decode"),
+        ("index", lambda index: index.replace(b"Vienna", b"Vi\xffnna", 1),
+         "line 2: UnicodeDecodeError: 'utf-8' codec can't decode"),
+        ("config", b'{"model_name": "m\xff"}', "UnicodeDecodeError: 'utf-8' codec can't decode"),
+        ("task", b'{"schema": "\xff"}', "UnicodeDecodeError: 'utf-8' codec can't decode"),
+    ], ids=["records-truncated", "index-truncated", "config-truncated", "task-no-text",
+            "records-not-utf8", "index-not-utf8", "config-not-utf8", "task-not-utf8"])
+    def test_error_names_the_file(self, tmp_path, capsys, uni_vienna_record, kind, content, message):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content(index_path.read_bytes()) if callable(content) else content)
+        config, output = _write_config(tmp_path), tmp_path / "preds.jsonl"
+        argv = {
+            "records": ["stats", "--dataset", str(bad), "--config", str(config)],
+            "config": ["stats", "--dataset", str(tmp_path / "kept.jsonl"), "--config", str(bad)],
+            "task": ["infer", "--task", str(bad), "--index", str(index_path), "--output", str(output),
+                     "--config", str(config)],
+            "index": ["infer", "--task", str(task_path), "--index", str(bad), "--output", str(output),
+                      "--config", str(config)],
+        }[kind]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not output.exists()
+
+
+HEADER_LINE = json.dumps({"version": 3, "mode": "fallback", "min_words": 100})
+
 
 class TestMalformedIndexFiles:
-    """An index file that is not an object, holds no entries list, or holds an
-    entry or field of the wrong shape is refused, naming the file, before any
-    model call."""
+    """An index file whose header line is not an object, that holds no entry
+    line, or that holds an entry or header field of the wrong shape is
+    refused, naming the file and line, before any model call."""
 
-    @pytest.mark.parametrize("payload", [
-        [],
-        {"version": 2, "mode": "fallback", "min_words": 100},
-        {"version": 2, "mode": "fallback", "min_words": 100, "entries": {}},
-        {"version": 2, "mode": "fallback", "min_words": 100, "entries": []},
+    @pytest.mark.parametrize("content, message", [
+        ("[]\n", "line 1 is not a JSON object"),
+        (f"{HEADER_LINE}\n", "an index file holds a header line and at least one entry"),
+        (f"{HEADER_LINE}\n{json.dumps({'entries': {}})}\n", "line 2: KeyError: 'record'"),
+        (f"{HEADER_LINE}\n\n\n", "an index file holds a header line and at least one entry"),
     ], ids=["list", "no-entries", "entries-object", "entries-empty"])
-    def test_reported_as_an_error(self, tmp_path, capsys, uni_vienna_record, payload):
+    def test_reported_as_an_error(self, tmp_path, capsys, uni_vienna_record, content, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "bad-index.json"
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        index_path.write_text(content, encoding="utf-8")
         output = tmp_path / "preds.jsonl"
         argv = ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(output)]
         capsys.readouterr()
         assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {index_path}: an index file holds ")
+        assert capsys.readouterr().err == f"error: {index_path}: {message}\n"
         assert not output.exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda index: index.update(entries=[5]), "entry 0 is not a JSON object"),
-        (lambda index: index["entries"][0]["record"].update(text=5),
-         "entry 0: TypeError: text and annotated_text must be strings"),
-        (lambda index: index["entries"][0].update(truncated_chars="40"), "entry 0: TypeError: truncated_chars"),
-        (lambda index: index.update(mode="provider", entries=[{**index["entries"][0], "vector": ["a"]}]),
-         "entry 0: ValueError: could not convert string to float"),
-        (lambda index: index.update(mode="provider", entries=[{**index["entries"][0], "vector": [10**400]}]),
-         "entry 0: OverflowError: int too large to convert to float"),
-        (lambda index: index.pop("mode"), "an index file's mode is one of"),
-        (lambda index: index.update(min_words="x"), "an index file's min_words is a positive integer, not 'x'"),
+        (lambda header, entry: [header, 5], "line 2 is not a JSON object"),
+        (lambda header, entry: entry["record"].update(text=5),
+         "line 2: TypeError: text and annotated_text must be strings"),
+        (lambda header, entry: entry.update(truncated_chars="40"), "line 2: TypeError: truncated_chars"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": ["a"]}],
+         "line 2: ValueError: could not convert string to float"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [10**400]}],
+         "line 2: OverflowError: int too large to convert to float"),
+        (lambda header, entry: [{"version": 3, "min_words": 100}, entry],
+         "line 1: ValueError: an index file's mode is one of"),
+        (lambda header, entry: header.update(min_words="x"),
+         "line 1: ValueError: an index file's min_words is a positive integer, not 'x'"),
     ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "vector-item-type",
             "vector-item-range", "no-mode", "min-words-type"])
     def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "index.json"
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-        edit(index)
-        index_path.write_text(json.dumps(index), encoding="utf-8")
+        header, entry = map(json.loads, index_path.read_text(encoding="utf-8").splitlines())
+        lines = edit(header, entry) or [header, entry]
+        index_path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         output = tmp_path / "preds.jsonl"
         argv = ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(output)]
         capsys.readouterr()
         assert main([*argv, "--config", str(_write_config(tmp_path))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {index_path}: ") and message in err
+        assert err.startswith(f"error: {index_path}: {message}")
         assert not output.exists()
 
 
@@ -860,7 +898,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({key: value}), encoding="utf-8")
         assert main(["stats", "--dataset", str(tmp_path / "missing.jsonl"), "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: ValueError: config key {key!r} must be ")
 
     def test_max_tokens_takes_an_integer_or_null(self, tmp_path):
         path = tmp_path / "config.json"

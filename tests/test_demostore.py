@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -190,6 +191,7 @@ class TestProviderEmbedder:
         {"data": [{"embedding": [None, 1.0]}]},
         {"data": [{"embedding": [[0.6], [0.8]]}]},
         pytest.param("[" * 100_000, id="nested"),
+        pytest.param({"data": [{"embedding": [10**400]}]}, id="overflow"),
     ])
     def test_malformed_body(self, embed_server, body):
         _EmbedHandler.body = body
@@ -247,10 +249,33 @@ class TestBuildIndex:
             again = [(r.doc_id, round(s, 12)) for r, s in reloaded.retrieve_scored(probe, k=3)]
             assert original == again
 
-    def test_version_gate(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["fallback", "provider"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, mode):
+        records = _corpus(5, random.Random(9))
+        # A fallback embedder stands in for a provider: its vectors are stored like any provider's.
+        embedder = FallbackEmbedder(["castle", "river", "stone", "valley"]) if mode == "provider" else None
+        index = build_index(records, mode=mode, embedder=embedder, min_words=5)
+        path, again = tmp_path / "index.json", tmp_path / "again.json"
+        index.save(path)
+        DemoIndex.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0]) == {"version": 3, "mode": mode, "min_words": 5}
+        assert [json.loads(line)["record"]["doc_id"] for line in lines[1:]] == [r.doc_id for r in records]
+
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_other_versions_rejected(self, tmp_path, version):
+        entry = {"truncated_chars": 5, "record": {"doc_id": "d", "text": "Alpha."}}
+        header = {"version": version, "mode": "fallback", "min_words": 100}
+        lines = {
+            1: [{**header, "dim": 1, "vocabulary": ["alpha"], "entries": [{**entry, "vector": [1.0]}]}],
+            2: [{**header, "entries": [entry]}],
+            99: [header, entry],
+        }[version]
         path = tmp_path / "index.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}), encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        rebuild = "rebuild the index with `synthex index`"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: .*{rebuild}$"):
             DemoIndex.load(path)
 
 
@@ -290,7 +315,8 @@ class TestPoolIndex:
         hashes = [json.loads((d / "index.manifest.json").read_text(encoding="utf-8"))["config_hash"]
                   for d in (serial, parallel)]
         assert hashes[0] == hashes[1]
-        entries = json.loads((parallel / "index.json").read_text(encoding="utf-8"))["entries"]
+        lines = (parallel / "index.json").read_text(encoding="utf-8").splitlines()
+        entries = [json.loads(line) for line in lines[1:]]
         assert [e["vector"] for e in entries] == [_text_vector(truncate_text(r.text, 100)) for r in records]
         assert _EmbedHandler.requests == 2 * len(records)
         assert peaks[1] == 1
@@ -506,13 +532,6 @@ class TestSparseEquivalence:
         assert [(r.doc_id, s) for r, s in got] == [("d1", 0.0), ("d2", 0.0)]
         with pytest.raises(EmptyTextError):
             index.retrieve_scored("  ")
-
-    def test_version_1_rejected(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_text(json.dumps({"version": 1, "mode": "fallback", "dim": 1, "min_words": 100,
-                                    "vocabulary": ["a"], "entries": []}), encoding="utf-8")
-        with pytest.raises(ValueError, match="rebuild the index with `synthex index`"):
-            DemoIndex.load(path)
 
     def test_query_vector_of_another_length_is_a_provider_error(self, embed_server):
         _EmbedHandler.queued = [[0.6, 0.8], [0.8, 0.6]]

@@ -1,7 +1,9 @@
 """The runtime is stdlib-only: every import in the package names a standard
 library module or the package itself. Threads and worker pools are made in
-one place, ``gateway.map_contained``; model responses are decoded in one
-place, ``gateway.extract_json_block``; and the chat cache is read in one
+one place, ``gateway.map_contained``. JSON is decoded at five listed sites:
+local files in ``core.decode_object``, model responses in
+``gateway.extract_json_block``, and the chat cache, completion bodies and
+embeddings bodies each in their one reader. The chat cache is read in one
 place, ``ChatGateway.complete``, so every chat call takes that one path."""
 
 import ast
@@ -84,21 +86,20 @@ def test_pools_and_threads_are_made_only_in_map_contained():
 
 
 DECODERS = {"loads", "raw_decode"}
-# The modules that read model responses; each goes through extract_json_block.
-RESPONSE_READERS = ("annotator.py", "inference.py", "postprocess.py")
 
 
-def test_response_readers_call_no_json_decoder():
-    calls = []
-    for name in RESPONSE_READERS:
-        path = PACKAGE_DIR / name
+def test_json_is_decoded_only_at_the_listed_sites():
+    sites = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        calls += [
-            f"{name}:{node.lineno}: {_called_name(node)}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _called_name(node) in DECODERS
-        ]
-    assert calls == []
+        sites |= {(path.name, scope) for scope, call in _calls(tree) if _called_name(call) in DECODERS}
+    assert sorted(sites) == [
+        ("core.py", "decode_object"),
+        ("demostore.py", "ProviderEmbedder.embed"),
+        ("gateway.py", "ChatGateway._parse_completion"),
+        ("gateway.py", "ChatGateway._read_cache"),
+        ("gateway.py", "extract_json_block"),
+    ]
 
 
 def test_chat_cache_is_read_only_in_complete():
