@@ -98,9 +98,7 @@ class FailureRecord:
 
     doc_id: str
     text: str
-    word_count: int
     reports: tuple[VerificationReport, ...]
-    temperatures: tuple[float, ...]
 
 
 @dataclass
@@ -492,13 +490,7 @@ class Annotator:
                     "retried": attempt > 1,
                 }
                 return raw_to_record(doc.id, truncated, raw, provenance)
-        return FailureRecord(
-            doc_id=doc.id,
-            text=truncated,
-            word_count=word_count(truncated),
-            reports=tuple(reports),
-            temperatures=TEMPERATURES,
-        )
+        return FailureRecord(doc_id=doc.id, text=truncated, reports=tuple(reports))
 
 
 # --- error-rate bookkeeping ---------------------------------------------------
@@ -532,15 +524,16 @@ def collect_length_stats(
 
 
 def failure_to_dict(failure: FailureRecord) -> dict:
+    """The failure sidecar line; attempt ``i`` ran at ``TEMPERATURES[i]``."""
     return {
         "doc_id": failure.doc_id,
         "text": failure.text,
-        "word_count": failure.word_count,
+        "word_count": word_count(failure.text),
         "attempts": [
             {
-                "temperature": failure.temperatures[i],
+                "temperature": temperature,
                 "errors": [{"kind": f.kind, "context": f.context} for f in report.errors],
             }
-            for i, report in enumerate(failure.reports)
+            for temperature, report in zip(TEMPERATURES, failure.reports)
         ],
     }

@@ -42,6 +42,7 @@ from .core import (
     load_json,
     load_jsonl,
     load_records,
+    read_text,
     repeated_ids,
     save_records,
 )
@@ -117,16 +118,10 @@ class RunConfig:
             setattr(self, key, value)
 
     def apply_flags(self, args: argparse.Namespace):
-        if getattr(args, "cache", None):
-            self.cache_dir = args.cache
-        if getattr(args, "replay", False):
-            self.gateway_mode = "replay"
-        if getattr(args, "record", False):
-            self.gateway_mode = "record"
-        for flag in ("parallelism", "min_words", "top_k", "embedding_mode"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                setattr(self, flag, value)
+        """A flag whose argparse dest names a field sets it, unless absent or an empty ``--cache``."""
+        for name in (f.name for f in fields(self)):
+            if getattr(args, name, None) not in (None, ""):
+                setattr(self, name, getattr(args, name))
         self.validate()
 
     def config_hash(self, command: str) -> str:
@@ -173,6 +168,11 @@ class DatasetStats:
     yield_percent: float | None = None
 
 
+def percent_yield(annotated: int, failed: int) -> float:
+    """Yield in percent: annotated over annotated plus failed documents; transport errors are neither."""
+    return 100.0 * annotated / (annotated + failed) if annotated else 0.0
+
+
 def compute_dataset_stats(
     records: list[AnnotationRecord], top_k: int = 30, failure_count: int | None = None
 ) -> DatasetStats:
@@ -185,10 +185,6 @@ def compute_dataset_stats(
         total_triples += len(record.triples)
         entity_type_freq.update(e.type_label for e in record.entities)
         relation_type_freq.update(t.predicate for t in record.triples)
-    yield_percent = None
-    if failure_count is not None:
-        attempts = len(records) + failure_count
-        yield_percent = 100.0 * len(records) / attempts if attempts else 0.0
     top = lambda freq: sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
     return DatasetStats(
         documents=len(records),
@@ -198,7 +194,7 @@ def compute_dataset_stats(
         relation_type_count=len(relation_type_freq),
         top_entity_types=top(entity_type_freq),
         top_relation_types=top(relation_type_freq),
-        yield_percent=yield_percent,
+        yield_percent=None if failure_count is None else percent_yield(len(records), failure_count),
     )
 
 
@@ -246,7 +242,7 @@ def cmd_ingest(args, config: RunConfig) -> int:
     docs: list[SourceDocument] = []
     if source.is_dir():
         for txt in sorted(source.glob("*.txt")):
-            text = txt.read_text(encoding="utf-8")
+            text = read_text(txt)
             if text.strip():
                 docs.append(SourceDocument(id=txt.stem, text=text, title=txt.stem))
     else:
@@ -286,9 +282,7 @@ def cmd_generate(args, config: RunConfig) -> int:
     _write_length_stats(outcomes, stats_path)
     write_manifest(out_dir, "generate", config, [args.corpus], [annotations_path, failures_path, stats_path])
 
-    attempts = len(outcomes)
-    yield_percent = 100.0 * len(records) / attempts if attempts else 0.0
-    print(f"annotated {len(records)}/{attempts} documents, yield {yield_percent:.2f}%")
+    print(f"annotated {len(records)}/{len(outcomes)} documents, yield {percent_yield(len(records), len(failures)):.2f}%")
     _report_gateway_errors([(doc.id, error) for doc, (_, error) in zip(corpus, results) if error is not None])
     return 0
 
@@ -423,10 +417,14 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 def _add_model_call_flags(parser: argparse.ArgumentParser):
     """Flags of the commands that call the model: generate, postprocess, infer."""
-    parser.add_argument("--cache", help="chat-completion cache directory")
+    parser.add_argument("--cache", dest="cache_dir", help="chat-completion cache directory")
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--replay", action="store_true", help="serve model calls from the cache only")
-    mode.add_argument("--record", action="store_true", help="call the endpoint and cache responses")
+    mode.add_argument(
+        "--replay", action="store_const", const="replay", dest="gateway_mode", help="serve model calls from the cache only"
+    )
+    mode.add_argument(
+        "--record", action="store_const", const="record", dest="gateway_mode", help="call the endpoint and cache responses"
+    )
     parser.add_argument(
         "--parallelism",
         type=int,

@@ -323,6 +323,15 @@ def decode_object(text: bytes, decode, where: str):
     raise ValueError(f"{where} is not a JSON object")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a local UTF-8 file, under :func:`decode_object`'s rule: a
+    file that is not UTF-8 is a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_json(path: str | Path, decode):
     """``decode(object)`` for a file of one JSON object; errors name the file."""
     return decode_object(Path(path).read_bytes(), decode, str(path))

@@ -45,6 +45,7 @@ from .core import (
     SynthexError,
     dump_jsonl,
     load_jsonl,
+    read_text,
     record_from_dict,
     record_to_dict,
 )
@@ -80,6 +81,16 @@ def _dot(u, v) -> float:
 
 def _norm(values) -> float:
     return math.sqrt(_dot(values, values))
+
+
+def _scorable_norm(vector) -> float:
+    """The norm of a stored or query vector, which scoring divides by: it
+    must be finite and positive. Tiny components can underflow it to 0.0,
+    and a NaN or infinite one leaves it undefined."""
+    norm = _norm(vector)
+    if not 0.0 < norm < math.inf:
+        raise ZeroVectorError(f"vector norm {norm} is zero or not finite")
+    return norm
 
 
 def cosine(u: list[float], v: list[float]) -> float:
@@ -158,12 +169,9 @@ class ProviderEmbedder:
             )
             embedding = json.loads(raw)["data"][0]["embedding"]
             vector = [float(x) for x in embedding] if isinstance(embedding, list) else []
-        except (GatewayError, RecursionError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            _scorable_norm(vector)
+        except (SynthexError, RecursionError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
-        if not vector:
-            raise ProviderError("embeddings endpoint returned no vector")
-        if not any(vector):
-            raise ProviderError("embeddings endpoint returned a zero vector")
         return vector
 
 
@@ -176,7 +184,7 @@ class ExclusionList:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExclusionList":
         ids = set()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in read_text(path).splitlines():
             line = line.strip()
             if line:
                 ids.add(line)
@@ -259,9 +267,7 @@ class DemoIndex:
                     raise DimensionMismatchError(
                         f"doc {record.doc_id}: vector dimension {len(vector)} != {self.dim}"
                     )
-                norm = _norm(vector)
-                if norm == 0.0:
-                    raise ZeroVectorError(f"doc {record.doc_id}: zero vector")
+                norm = _scorable_norm(vector)
                 entry = DemoIndexEntry(record.doc_id, text, record, norm, stored_vector=tuple(vector))
                 self.entries.append(entry)
         else:
@@ -286,9 +292,7 @@ class DemoIndex:
         query = embedder.embed(text)
         if len(query) != self.dim:
             raise ProviderError(f"query vector dimension {len(query)} != index dimension {self.dim}")
-        query_norm = _norm(query)
-        if query_norm == 0.0:
-            raise ZeroVectorError("cosine undefined for a zero vector")
+        query_norm = _scorable_norm(query)
         return {
             i: _dot(query, entry.stored_vector) / (query_norm * entry.norm)
             for i, entry in enumerate(self.entries)
@@ -364,6 +368,8 @@ class DemoIndex:
             if isinstance(chars, bool) or not isinstance(chars, int):
                 raise TypeError(f"truncated_chars must be an integer, not {chars!r}")
             vector = [float(x) for x in data["vector"]] if header["mode"] == "provider" else None
+            if vector is not None:
+                _scorable_norm(vector)
             return record, record.text[:chars], vector
 
         entries = load_jsonl(path, decode)[1:]

@@ -153,6 +153,14 @@ class DropLogEntry:
         return {"doc_id": self.doc_id, "stage": self.stage, "reason": self.reason}
 
 
+def _boxed_letter(response: str) -> str | None:
+    """The boxed verdict letter of a response, or None when it has none."""
+    try:
+        return extract_boxed(response)
+    except NoVerdictError:
+        return None
+
+
 class PostProcessor:
     """Runs triple verification and the document filters over a corpus."""
 
@@ -174,31 +182,19 @@ class PostProcessor:
         parseable boxed verdict yields verdict None, which adjudicates as
         inconsistent — unverifiable is unverified.
         """
-        prompts = [
-            build_triple_verification_prompt(triple, list(record.entities))
-            for record in records
-            for triple in record.triples
-        ]
-        distinct = list(dict.fromkeys(prompts))
+        prompts = [[build_triple_verification_prompt(t, list(r.entities)) for t in r.triples] for r in records]
+        distinct = list(dict.fromkeys(prompt for doc_prompts in prompts for prompt in doc_prompts))
         calls = map_contained(lambda prompt: self.gateway.complete(prompt, self.params), distinct, parallelism)
         answers = dict(zip(distinct, calls))
         collected = []
-        end = 0
-        for record in records:
-            start, end = end, end + len(record.triples)
-            doc_answers = [answers[prompt] for prompt in prompts[start:end]]
+        for record, doc_prompts in zip(records, prompts):
+            doc_answers = [answers[prompt] for prompt in doc_prompts]
             failures = [error for _, error in doc_answers if error is not None]
             if failures:
                 collected.append((None, failures[0]))
                 continue
-            verdicts = []
-            for index, (response, _) in enumerate(doc_answers):
-                try:
-                    letter: str | None = extract_boxed(response)
-                except NoVerdictError:
-                    letter = None
-                verdicts.append(TripleVerdict(doc_id=record.doc_id, index=index, verdict=letter))
-            collected.append((verdicts, None))
+            letters = [_boxed_letter(response) for response, _ in doc_answers]
+            collected.append(([TripleVerdict(record.doc_id, i, v) for i, v in enumerate(letters)], None))
         return collected
 
     def process(
@@ -221,25 +217,14 @@ class PostProcessor:
                 )
                 continue
             filtered = apply_discard_policy(record, verdicts)
-            # The policy removes every triple of a discarded predicate.
-            triples_removed = len(record.triples) - len(filtered.triples)
-            if triples_removed:
-                discarded = {t.predicate for t in record.triples} - {t.predicate for t in filtered.triples}
-                drop_log.append(
-                    DropLogEntry(
-                        record.doc_id,
-                        STAGE_TRIPLE_VERIFY,
-                        {
-                            "predicates": sorted(discarded),
-                            "triples_removed": triples_removed,
-                            "verdicts": [
-                                {"index": v.index, "verdict": v.verdict}
-                                for v in verdicts
-                                if adjudicate(v.verdict) == INCONSISTENT
-                            ],
-                        },
-                    )
-                )
+            inconsistent = [v for v in verdicts if adjudicate(v.verdict) == INCONSISTENT]
+            if inconsistent:
+                discard = {
+                    "predicates": sorted({record.triples[v.index].predicate for v in inconsistent}),
+                    "triples_removed": len(record.triples) - len(filtered.triples),
+                    "verdicts": [{"index": v.index, "verdict": v.verdict} for v in inconsistent],
+                }
+                drop_log.append(DropLogEntry(record.doc_id, STAGE_TRIPLE_VERIFY, discard))
             if filtered.entities:
                 reason = filter_degenerate(filtered)
                 if reason is not None:

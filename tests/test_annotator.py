@@ -15,6 +15,7 @@ from synthex.annotator import (
     MissingKeyError,
     build_zero_shot_prompt,
     collect_length_stats,
+    failure_to_dict,
     json_escape,
     parse_annotation_response,
     sentence_spans,
@@ -345,7 +346,9 @@ class TestAnnotateDocument:
         assert isinstance(failure, FailureRecord)
         assert len(failure.reports) == 2
         assert failure.reports[0].kinds() == {SYNTAX_ERROR}
-        assert failure.temperatures == (0.0, 0.2)
+        attempts = failure_to_dict(failure)["attempts"]
+        assert (attempts[0]["temperature"], attempts[1]["temperature"]) == (0.0, 0.2)
+        assert failure_to_dict(failure)["word_count"] == 4
 
     def test_gateway_errors_propagate(self, tmp_path):
         gateway = replay_gateway(tmp_path)  # empty cache
@@ -416,9 +419,7 @@ class TestLengthStats:
         failure = FailureRecord(
             doc_id="f1",
             text=text,
-            word_count=120,
             reports=(VerificationReport(errors=(Finding(SYNTAX_ERROR, "x"),)),) * 2,
-            temperatures=(0.0, 0.2),
         )
         rows = collect_length_stats([failure])
         assert rows[0].label == "100-124"
@@ -436,9 +437,7 @@ class TestLengthStats:
                     FailureRecord(
                         doc_id=f"f{i}",
                         text=text,
-                        word_count=word_count(text),
                         reports=(VerificationReport(errors=(Finding(ECHO_MISMATCH, "x"),)),),
-                        temperatures=(0.0, 0.2),
                     )
                 )
             else:

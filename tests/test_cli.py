@@ -2,7 +2,7 @@ import argparse
 import json
 import shutil
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -484,6 +484,25 @@ class TestIndexInferEval:
         errors = capsys.readouterr().err.splitlines()
         assert errors == ["gateway error: q2: embeddings endpoint failed: 503", "1 documents failed on gateway errors"]
 
+    def test_infer_contains_query_vector_that_cannot_be_scored(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        def post_json(url, body, **_):
+            vector = [1e-200, 1e-200] if "visited" in body["input"] else [1.0, 0.5]
+            return json.dumps({"data": [{"embedding": vector}]})
+
+        monkeypatch.setattr("synthex.demostore.post_json", post_json)
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
+        index_path = tmp_path / "provider-index.json"
+        build_index([uni_vienna_record], mode="provider", embedder=ProviderEmbedder("", "emb")).save(index_path)
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 0
+        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        assert [(p["doc_id"], p["valid"]) for p in predictions] == [("q1", True)]
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            "gateway error: q2: embeddings endpoint failed: vector norm 0.0 is zero or not finite",
+            "1 documents failed on gateway errors",
+        ]
+
     def test_infer_embeds_queries_in_the_index_mode(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
         queries = []
         monkeypatch.setattr(ProviderEmbedder, "embed", lambda self, text: queries.append(text) or [1.0, 0.5])
@@ -809,6 +828,25 @@ class TestMalformedLocalInputs:
         assert not output.exists()
 
 
+    @pytest.mark.parametrize("kind", ["ingest", "exclusions"])
+    def test_text_file_not_utf8_names_the_file(self, tmp_path, capsys, uni_vienna_record, kind):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        bad = raw / "bad.txt"
+        bad.write_bytes(b"Alpha \xff beta.\n")
+        output = tmp_path / "out.jsonl"
+        argv = {
+            "ingest": ["ingest", "--input", str(raw), "--output", str(output)],
+            "exclusions": ["infer", "--task", str(task_path), "--index", str(index_path), "--output", str(output),
+                           "--exclusions", str(bad), "--config", str(_write_config(tmp_path))],
+        }[kind]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: UnicodeDecodeError: 'utf-8' codec can't decode")
+        assert not output.exists()
+
+
 HEADER_LINE = json.dumps({"version": 3, "mode": "fallback", "min_words": 100})
 
 
@@ -843,12 +881,14 @@ class TestMalformedIndexFiles:
          "line 2: ValueError: could not convert string to float"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [10**400]}],
          "line 2: OverflowError: int too large to convert to float"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [float("nan"), 1.0]}],
+         "line 2: ZeroVectorError: vector norm nan is zero or not finite"),
         (lambda header, entry: [{"version": 3, "min_words": 100}, entry],
          "line 1: ValueError: an index file's mode is one of"),
         (lambda header, entry: header.update(min_words="x"),
          "line 1: ValueError: an index file's min_words is a positive integer, not 'x'"),
     ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "vector-item-type",
-            "vector-item-range", "no-mode", "min-words-type"])
+            "vector-item-range", "vector-nan", "no-mode", "min-words-type"])
     def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "index.json"
@@ -907,14 +947,48 @@ class TestConfig:
             assert RunConfig.load(str(path)).max_tokens == value
 
     def test_flags_override_config(self, tmp_path):
+        """Every option whose argparse dest names a RunConfig field sets that
+        field through parse_args and apply_flags; the others set none."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        names = {f.name for f in fields(RunConfig)}
+        other = {"record": "replay", "replay": "record"}
+        mapped = set()
+        for command, command_parser in sub.choices.items():
+            required = [arg for a in command_parser._actions if a.required for arg in (a.option_strings[0], "x")]
+            base = parser.parse_args([command, *required])
+            config = RunConfig.load(None)
+            config.apply_flags(base)
+            assert config == RunConfig.load(None), command
+            for action in command_parser._actions:
+                if action.dest not in names:
+                    continue
+                if action.const is not None:
+                    argv, expected = [action.option_strings[0]], action.const
+                else:
+                    value = action.choices[-1] if action.choices else "7" if action.type is int else str(tmp_path)
+                    argv, expected = [action.option_strings[0], value], action.type(value) if action.type else value
+                config = RunConfig.load(None)
+                setattr(config, action.dest, other.get(expected, getattr(config, action.dest)))
+                assert getattr(config, action.dest) != expected
+                config.apply_flags(parser.parse_args([command, *required, *argv]))
+                assert getattr(config, action.dest) == expected, (command, argv)
+                mapped.add((command, action.option_strings[0]))
+        model_call = {"--cache", "--replay", "--record", "--parallelism"}
+        assert mapped == {
+            *(("generate", flag) for flag in {*model_call, "--min-words"}),
+            *(("postprocess", flag) for flag in model_call),
+            *(("infer", flag) for flag in model_call),
+            ("stats", "--top-k"),
+            ("index", "--embedding-mode"),
+            ("index", "--min-words"),
+        }
+
+    def test_empty_cache_flag_ignored(self):
+        args = build_parser().parse_args(["generate", "--corpus", "c", "--out-dir", "o", "--cache", ""])
         config = RunConfig.load(None)
-        args = argparse.Namespace(
-            cache=str(tmp_path / "c"), replay=True, record=False, parallelism=4, min_words=50, top_k=None
-        )
         config.apply_flags(args)
-        assert config.gateway_mode == "replay"
-        assert config.parallelism == 4
-        assert config.min_words == 50
+        assert config.cache_dir == RunConfig().cache_dir
 
     def test_env_provides_base_urls(self, monkeypatch):
         monkeypatch.setenv("SYNTHEX_CHAT_BASE_URL", "http://chat.example")

@@ -4,14 +4,18 @@ refused; sentence splitting, truncation, mention re-anchoring and JSON
 extraction keep their invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
 brace-scanner reference, and the fallback index build with a reference that
-tokenises each text twice."""
+tokenises each text twice; phase-2 filtering drops exactly what its verdicts
+decide."""
 
 import json
 import math
 import operator
 import random
 import re
+import tempfile
 from collections import defaultdict
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +37,16 @@ from synthex.demostore import EmptyTextError, FallbackEmbedder, build_index
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
 from synthex.gateway import MAX_JSON_DEPTH, NoJsonFoundError, ResponseSyntaxError, extract_json_block
 from synthex.markup import MarkupError, parse_annotated, render_annotated
+from synthex.postprocess import (
+    STAGE_GATEWAY_ERROR,
+    STAGE_MONO_TYPED,
+    STAGE_SELF_TYPED,
+    STAGE_TRIPLE_VERIFY,
+    PostProcessor,
+    build_triple_verification_prompt,
+)
+
+from conftest import make_passing_record, params_for, replay_gateway
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -493,3 +507,75 @@ def test_fallback_index_matches_the_two_pass_reference(texts, queries):
         expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
         got = index.retrieve_scored(query, k=len(texts))
         assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
+
+
+# A verdict response and the letter it stands for; None is no boxed letter.
+VERDICT_RESPONSES = [
+    ("\\boxed{A}", "A"),
+    ("The swapped reading fits. \\boxed{b}", "B"),
+    ("\\boxed{ C }", "C"),
+    ("draft \\boxed{A}, final \\boxed{D}", "D"),
+    ("no verdict here", None),
+    ("\\boxed{E}", None),
+]
+CACHE_MISS = "miss"
+PHASE2_MODEL = "phase2-model"
+
+
+@st.composite
+def phase2_cases(draw):
+    """Passing records, some made self- or mono-typed, and per distinct
+    verdict prompt a response or a cache miss."""
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        record = make_passing_record(random.Random(draw(st.integers(0, 10**6))), f"d{i}")
+        shape = draw(st.sampled_from(["plain", "plain", "self", "mono"]))
+        if shape == "self":
+            record = replace(record, entities=tuple(replace(e, type_label=e.name) for e in record.entities))
+        elif shape == "mono":
+            record = replace(record, entities=tuple(replace(e, type_label="Topic") for e in record.entities))
+        records.append(record)
+    prompts = {build_triple_verification_prompt(t, list(r.entities)) for r in records for t in r.triples}
+    outcomes = {p: draw(st.sampled_from([*VERDICT_RESPONSES, CACHE_MISS])) for p in sorted(prompts)}
+    return records, outcomes
+
+
+@PROPERTY_SETTINGS
+@given(phase2_cases())
+def test_phase2_drops_follow_the_verdicts(case):
+    records, outcomes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        exchanges = [
+            (prompt, params_for(PHASE2_MODEL, 0.0), outcome[0])
+            for prompt, outcome in outcomes.items()
+            if outcome != CACHE_MISS
+        ]
+        kept, drops = PostProcessor(replay_gateway(Path(tmp), exchanges), model_name=PHASE2_MODEL).process(records)
+    kept_by_id = {r.doc_id: r for r in kept}
+    doc_level = (STAGE_GATEWAY_ERROR, STAGE_SELF_TYPED, STAGE_MONO_TYPED)
+    for record in records:
+        entries = [d for d in drops if d.doc_id == record.doc_id]
+        stages = [d.stage for d in entries if d.stage in doc_level]
+        # Kept, or exactly one document-level drop: never both, never neither.
+        assert (record.doc_id in kept_by_id) != bool(stages) and len(stages) <= 1
+        answers = [outcomes[build_triple_verification_prompt(t, list(record.entities))] for t in record.triples]
+        if CACHE_MISS in answers:
+            assert stages == [STAGE_GATEWAY_ERROR] and len(entries) == 1
+            continue
+        assert STAGE_GATEWAY_ERROR not in stages
+        inconsistent = [(i, letter) for i, (_, letter) in enumerate(answers) if letter not in ("A", "C")]
+        bad = {record.triples[i].predicate for i, _ in inconsistent}
+        removed = sum(t.predicate in bad for t in record.triples)
+        verify = [d.reason for d in entries if d.stage == STAGE_TRIPLE_VERIFY]
+        if inconsistent:
+            assert verify == [{
+                "predicates": sorted(bad),
+                "triples_removed": removed,
+                "verdicts": [{"index": i, "verdict": letter} for i, letter in inconsistent],
+            }]
+        else:
+            assert verify == []
+        if record.doc_id in kept_by_id:
+            kept_triples = kept_by_id[record.doc_id].triples
+            assert not {t.predicate for t in kept_triples} & bad
+            assert len(kept_triples) == len(record.triples) - removed
