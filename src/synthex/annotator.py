@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from .core import (
     AnnotationRecord,
     Entity,
+    Mention,
     SourceDocument,
     Triple,
     derive_entity_types,
@@ -72,6 +73,9 @@ class Finding:
 @dataclass(frozen=True)
 class VerificationReport:
     errors: tuple[Finding, ...]
+    # The mentions the tag parse found, None when it failed; a passed
+    # report hands them to ``raw_to_record``, so markup is parsed once.
+    mentions: tuple[Mention, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -401,7 +405,7 @@ def verify_annotation(raw: RawAnnotation, source_text: str) -> VerificationRepor
             if normalize_surface(name) != normalize_surface(expected):
                 context = f"triple {i}: {role} {name!r} does not match entity {entity_id} ({expected!r})"
                 findings.append(Finding(TRIPLE_NAME_MISMATCH, context))
-    return VerificationReport(errors=tuple(findings))
+    return VerificationReport(errors=tuple(findings), mentions=None if mentions is None else tuple(mentions))
 
 
 def _describe_echo_mismatch(expected: str, got: str) -> str:
@@ -418,15 +422,17 @@ def _parse_stage_report(exc: UnreadableResponseError) -> VerificationReport:
     return VerificationReport(errors=(Finding(SYNTAX_ERROR, str(exc)),))
 
 
-def raw_to_record(doc_id: str, source_text: str, raw: RawAnnotation, provenance: dict) -> AnnotationRecord:
-    """Convert a verified raw annotation into the persistent record form.
+def raw_to_record(
+    doc_id: str, source_text: str, raw: RawAnnotation, mentions: tuple[Mention, ...], provenance: dict
+) -> AnnotationRecord:
+    """Convert a verified raw annotation, with the mentions its verification
+    parsed, into the persistent record form.
 
     Type inventories are derived from the entities and triples actually
     present, which guarantees the record-level closure invariant regardless
     of what the model listed. Mention type labels are aligned to their owning
     entity's label, since the inline tags are not authoritative for typing.
     """
-    _, mentions = parse_annotated(raw.text_with_spans)
     type_by_id = {e.id: e.type_label for e in raw.entities}
     mentions = [
         m if type_by_id.get(m.entity_id) in (None, m.type_label)
@@ -489,7 +495,7 @@ class Annotator:
                     "temperatures": list(TEMPERATURES[:attempt]),
                     "retried": attempt > 1,
                 }
-                return raw_to_record(doc.id, truncated, raw, provenance)
+                return raw_to_record(doc.id, truncated, raw, report.mentions, provenance)
         return FailureRecord(doc_id=doc.id, text=truncated, reports=tuple(reports))
 
 

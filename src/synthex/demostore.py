@@ -16,16 +16,19 @@ A fallback index weighs demonstrations and queries with one function,
 ``FallbackEmbedder.weigh``. Its posting lists are the one stored copy of the
 demonstration weights: per vocabulary position, parallel lists of entry ids
 and weights, so a query only scores the entries sharing a token with it. An
-entry keeps its norm and derives its ``terms`` and ``vector`` from its
-truncated text when asked. The score is the same float ``cosine`` computes
-over the dense vectors: the zero terms of the dense dot product and norms add
-exactly 0.0, so summing the nonzero terms in position order with ``sum()``
-gives the same sums. Entries sharing no token score 0.0, and so does every
-entry for a query with no token in the vocabulary. The vocabulary and weights
-are derived from the truncated texts when an index is built or loaded. The
-file (format v3) is JSONL: a header line of ``version``, ``mode`` and
-``min_words``, then one entry per line holding a record, its truncated text as
-the length of its prefix of the record text and, in provider mode, its vector.
+entry derives its ``terms``, ``vector`` and ``norm`` from its truncated text
+when asked. The score is the same float ``cosine`` computes over the dense
+vectors: the zero terms of the dense dot product and norms add exactly 0.0,
+so summing the nonzero terms in position order with ``sum()`` gives the same
+sums. Entries sharing no token score 0.0, and so does every entry for a query
+with no token in the vocabulary. Building or loading an index counts each
+truncated text's tokens once, which gives the vocabulary. The weights,
+postings and entry norms are derived from those counts once per index: by
+``load``, or by the first retrieval from an index ``build_index`` made, so
+``synthex index``, which only saves, never derives them. The file (format v3)
+is JSONL: a header line of ``version``, ``mode`` and ``min_words``, then one
+entry per line holding a record, its truncated text as the length of its
+prefix of the record text and, in provider mode, its vector.
 """
 
 from __future__ import annotations
@@ -202,13 +205,11 @@ class ExclusionList:
 class DemoIndexEntry:
     """One demonstration. A provider entry keeps its stored vector; a
     fallback entry keeps the index's embedder and derives its ``terms`` and
-    ``vector`` from its truncated text. ``norm`` is the norm ``cosine``
-    computes for ``vector``."""
+    ``vector`` from its truncated text."""
 
     doc_id: str
     truncated_text: str
     record: AnnotationRecord
-    norm: float
     stored_vector: tuple[float, ...] | None = None
     embedder: FallbackEmbedder | None = field(default=None, repr=False, compare=False)
 
@@ -222,6 +223,11 @@ class DemoIndexEntry:
         if self.stored_vector is not None:
             return self.stored_vector
         return tuple(self.embedder.embed(self.truncated_text))
+
+    @property
+    def norm(self) -> float:
+        """The norm ``cosine`` computes for ``vector``, the one scoring uses."""
+        return _norm(self.vector)
 
 
 class DemoIndex:
@@ -242,49 +248,65 @@ class DemoIndex:
         self.mode = mode
         self.min_words = min_words
         self.vocabulary: list[str] | None = None
+        self._lock = threading.Lock()
+        self._counts: list[Counter] | None = None
         if mode == "fallback":
-            # One tokenising pass per text, shared by the vocabulary and the weights.
-            counts = [Counter(text.lower().split()) for text in truncated_texts]
-            self._embedder = FallbackEmbedder(sorted(set().union(*counts)))
+            # One tokenising pass per text gives the vocabulary; ``_derive`` weighs the counts.
+            self._counts = [Counter(text.lower().split()) for text in truncated_texts]
+            if not all(self._counts):
+                raise EmptyTextError("cannot embed empty text")
+            self._embedder = FallbackEmbedder(sorted(set().union(*self._counts)))
             self.vocabulary = self._embedder.vocabulary
             self.dim = self._embedder.dim
-            self.entries = []
-            self._posting_ids: list[list[int]] = [[] for _ in self.vocabulary]
-            self._posting_weights: list[list[float]] = [[] for _ in self.vocabulary]
-            for i, (record, text, tally) in enumerate(zip(records, truncated_texts, counts)):
-                weights = []
-                for position, weight in self._embedder.weigh(tally):
-                    self._posting_ids[position].append(i)
-                    self._posting_weights[position].append(weight)
-                    weights.append(weight)
-                entry = DemoIndexEntry(record.doc_id, text, record, _norm(weights), embedder=self._embedder)
-                self.entries.append(entry)
+            self.entries = [
+                DemoIndexEntry(record.doc_id, text, record, embedder=self._embedder)
+                for record, text in zip(records, truncated_texts)
+            ]
         elif mode == "provider":
             self.dim = len(vectors[0]) if vectors else 0
             self.entries = []
+            self._norms = []
             for record, text, vector in zip(records, truncated_texts, vectors):
                 if len(vector) != self.dim:
                     raise DimensionMismatchError(
                         f"doc {record.doc_id}: vector dimension {len(vector)} != {self.dim}"
                     )
-                norm = _scorable_norm(vector)
-                entry = DemoIndexEntry(record.doc_id, text, record, norm, stored_vector=tuple(vector))
-                self.entries.append(entry)
+                self._norms.append(_scorable_norm(vector))
+                self.entries.append(DemoIndexEntry(record.doc_id, text, record, stored_vector=tuple(vector)))
         else:
             raise ValueError(f"unknown index mode {mode!r}")
+
+    def _derive(self):
+        """Weigh the counted fallback texts into postings and entry norms,
+        then free the counts: once per index, whichever thread asks first."""
+        with self._lock:
+            if self._counts is None:
+                return
+            self._posting_ids: list[list[int]] = [[] for _ in self.vocabulary]
+            self._posting_weights: list[list[float]] = [[] for _ in self.vocabulary]
+            self._norms = []
+            for i, tally in enumerate(self._counts):
+                weights = []
+                for position, weight in self._embedder.weigh(tally):
+                    self._posting_ids[position].append(i)
+                    self._posting_weights[position].append(weight)
+                    weights.append(weight)
+                self._norms.append(_norm(weights))
+            self._counts = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def _fallback_scores(self, text: str) -> dict[int, float]:
         """Scores of the entries sharing a token with ``text``."""
+        self._derive()
         terms = self._embedder.terms(text)
         products = defaultdict(list)
         for position, weight in terms:
             for i, entry_weight in zip(self._posting_ids[position], self._posting_weights[position]):
                 products[i].append(weight * entry_weight)
         query_norm = _norm([weight for _, weight in terms])
-        return {i: sum(p) / (query_norm * self.entries[i].norm) for i, p in products.items()}
+        return {i: sum(p) / (query_norm * self._norms[i]) for i, p in products.items()}
 
     def _provider_scores(self, text: str, embedder) -> dict[int, float]:
         if embedder is None:
@@ -294,8 +316,8 @@ class DemoIndex:
             raise ProviderError(f"query vector dimension {len(query)} != index dimension {self.dim}")
         query_norm = _scorable_norm(query)
         return {
-            i: _dot(query, entry.stored_vector) / (query_norm * entry.norm)
-            for i, entry in enumerate(self.entries)
+            i: _dot(query, entry.stored_vector) / (query_norm * norm)
+            for i, (entry, norm) in enumerate(zip(self.entries, self._norms))
         }
 
     def retrieve_scored(
@@ -376,7 +398,9 @@ class DemoIndex:
         if not entries:
             raise ValueError(f"{path}: an index file holds a header line and at least one entry")
         records, texts, vectors = (list(column) for column in zip(*entries))
-        return cls(header["mode"], records, texts, header["min_words"], vectors)
+        index = cls(header["mode"], records, texts, header["min_words"], vectors)
+        index._derive()
+        return index
 
 
 def _embed_all(embedder, texts: list[str], parallelism: int) -> list[list[float]]:

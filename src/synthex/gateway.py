@@ -16,6 +16,7 @@ strict JSON extraction and boxed-verdict parsing.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import re
 import time
@@ -198,12 +199,14 @@ class ChatGateway:
 def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
     """POST ``body`` as JSON and return the response text.
 
-    429 and 5xx answers and connection errors are retried, for
-    :data:`MAX_RETRIES` attempts in all, with exponential backoff from
-    :data:`BACKOFF`; any other HTTP error raises :class:`EndpointError` at
-    once, since client errors will not improve on retry. Exhausted retries
-    raise the last :class:`EndpointError`, or :class:`TransportError` when
-    the endpoint was never reached.
+    429 and 5xx answers, connection errors and broken responses (a bad
+    status line, a body cut short) are retried, for :data:`MAX_RETRIES`
+    attempts in all, with exponential backoff from :data:`BACKOFF`; any
+    other HTTP error raises :class:`EndpointError` at once, since client
+    errors will not improve on retry, and so does a body that is not UTF-8,
+    like any other malformed body. Exhausted retries raise the last
+    :class:`EndpointError`, or :class:`TransportError` when no answer
+    arrived whole.
     """
     payload = json.dumps(body).encode("utf-8")
     headers = {"Content-Type": "application/json"}
@@ -215,13 +218,18 @@ def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return response.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EndpointError(f"response body is not UTF-8: {exc}") from exc
         except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
+            try:
+                detail = exc.read().decode("utf-8", "replace")
+            except (http.client.HTTPException, OSError) as read_error:
+                detail = f"(body cut short: {read_error!r})"
             error = EndpointError(f"endpoint returned {exc.code}: {detail[:500]}")
             if exc.code != 429 and exc.code < 500:
                 raise error from exc
             last_error = error
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
             last_error = exc
         if attempt + 1 < MAX_RETRIES:
             time.sleep(BACKOFF * (2**attempt))

@@ -1,5 +1,6 @@
 """Shared fixtures: the University-of-Vienna sample record, record builders,
-replay-gateway helpers and a stub chat-completions endpoint."""
+replay-gateway helpers, a stub chat-completions endpoint and an endpoint that
+answers with raw, possibly broken, HTTP bytes."""
 
 from __future__ import annotations
 
@@ -312,6 +313,56 @@ def stub_server():
     ChatStubHandler.requests = []
     ChatStubHandler.in_flight = ChatStubHandler.peak_in_flight = 0
     server = ThreadingHTTPServer(("127.0.0.1", 0), ChatStubHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def http_ok(payload: bytes) -> bytes:
+    """A whole 200 response carrying ``payload``."""
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%b" % (len(payload), payload)
+
+
+def chat_ok(content: str) -> bytes:
+    """A whole 200 chat-completion response whose message is ``content``."""
+    return http_ok(json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode())
+
+
+# Responses that break HTTP or the body's encoding.
+BROKEN_REPLIES = {
+    # Declares 100 bytes and closes after 10.
+    "truncated": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789",
+    "truncated-503": b"HTTP/1.1 503 Busy\r\nContent-Length: 100\r\n\r\n0123456789",
+    "bad-status-line": b"GARBAGE\r\n\r\n",
+    "not-utf8": http_ok(b'{"data": "\xff"}'),
+}
+
+
+class RawReplyHandler(BaseHTTPRequestHandler):
+    """Reads each POST, records its decoded body, writes ``reply(body)``'s
+    bytes as the whole response and closes the connection."""
+
+    reply = None
+    requests: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        type(self).requests.append(body)
+        self.wfile.write(type(self).reply(body))
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def raw_server():
+    RawReplyHandler.reply = None
+    RawReplyHandler.requests = []
+    server = ThreadingHTTPServer(("127.0.0.1", 0), RawReplyHandler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"

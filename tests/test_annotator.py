@@ -26,6 +26,7 @@ from synthex.annotator import (
 )
 from synthex.core import AnnotationRecord, SourceDocument
 from synthex.gateway import CacheMissError, ResponseSyntaxError
+from synthex.markup import parse_annotated
 
 from conftest import make_passing_record, params_for, raw_from_record, replay_gateway
 
@@ -317,6 +318,24 @@ class TestAnnotateDocument:
         assert record.provenance == {"attempt": 1, "temperatures": [0.0], "retried": False}
         assert record.entities[0].name == "alpha"
         assert record.text == doc.text
+
+    def test_accepted_markup_parsed_once(self, tmp_path, monkeypatch):
+        import synthex.annotator
+
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_annotated(text)
+
+        monkeypatch.setattr(synthex.annotator, "parse_annotated", counted)
+        doc = self._doc()
+        gateway = replay_gateway(
+            tmp_path, [(build_zero_shot_prompt(doc.text), params_for(MODEL, 0.0), _good_response(doc.text))]
+        )
+        record = Annotator(gateway, model_name=MODEL).annotate(doc)
+        assert parsed == [record.annotated_text]
+        assert record.mentions == tuple(parse_annotated(record.annotated_text)[1])
 
     def test_retry_succeeds_at_higher_temperature(self, tmp_path):
         doc = self._doc()

@@ -10,14 +10,17 @@ import pytest
 from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
 from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, save_records
-from synthex.demostore import ProviderEmbedder, ProviderError, build_index
+from synthex.demostore import FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import InferencePipeline, build_inference_prompt
 from synthex.postprocess import build_triple_verification_prompt
 
 from conftest import (
+    BROKEN_REPLIES,
     UNI_VIENNA_DICT,
     ChatStubHandler,
+    RawReplyHandler,
+    chat_ok,
     completed_inference_json,
     good_annotation_response,
     params_for,
@@ -187,6 +190,27 @@ class TestGenerate:
         assert [f["doc_id"] for f in failures] == ["doc1"]
         assert [[e["kind"] for e in a["errors"]] for a in failures[0]["attempts"]] == [["syntax_error"]] * 2
         assert "annotated 1/2 documents, yield 50.00%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN_REPLIES))
+    def test_broken_response_costs_one_document(self, tmp_path, capsys, monkeypatch, raw_server, broken):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        docs = [_corpus_doc(0), _corpus_doc(1)]
+        corpus = tmp_path / "corpus.jsonl"
+        dump_jsonl(docs, corpus)
+
+        def reply(body):
+            prompt = body["messages"][0]["content"]
+            return BROKEN_REPLIES[broken] if "Document1" in prompt else chat_ok(good_annotation_response(docs[0]["text"]))
+
+        RawReplyHandler.reply = reply
+        config = _write_config(tmp_path, gateway_mode="record", chat_base_url=raw_server)
+        out_dir = tmp_path / "out"
+        code = main(["generate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--config", str(config)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith("gateway error: doc1: ")
+        assert err.endswith("\n1 documents failed on gateway errors\n")
+        assert [r.doc_id for r in load_records(out_dir / "annotations.jsonl")] == ["doc0"]
 
     def test_manifest_ignores_deployment_settings(self, tmp_path):
         corpus = _write_generate_fixture(tmp_path, n_good=2)
@@ -359,6 +383,46 @@ def _setup_infer_fixture(tmp_path, uni_vienna_record, extra_documents=()):
         completed_inference_json(QUERY_TEXT, QUERY_ANNOTATED, QUERY_ENTITIES, QUERY_RELATIONS, SCHEMA),
     )
     return task_path, index_path
+
+
+def _write_three_demo_task(tmp_path) -> tuple[list[str], list[str]]:
+    """Three demonstrations, a task of two queries and a seeded cache; returns
+    the arguments of ``main`` for the ``index`` and then the ``infer`` run.
+    q1 shares most words with d2; q2 shares none with any demonstration, so it
+    scores 0.0 everywhere and takes the lowest eligible doc id, d1, since d0
+    is excluded."""
+    demos = [
+        trivial_record("d2", "Alpha beta gamma delta."),
+        trivial_record("d0", "Gamma delta epsilon."),
+        trivial_record("d1", "Beta beta alpha."),
+    ]
+    kept = tmp_path / "kept.jsonl"
+    save_records(demos, kept)
+    exclusions = tmp_path / "exclusions.txt"
+    exclusions.write_text("d0\n", encoding="utf-8")
+    documents = [
+        ("q1", "Gamma delta alpha.\n\nOmega.", demos[0]),
+        ("q2", "Zeta eta theta.\n\nIota kappa.", demos[2]),
+    ]
+    for _, text, demo in documents:
+        word = text.split()[0]
+        _seed(tmp_path, build_inference_prompt(demo, None, text.split("\n")[0], SCHEMA), 0.0, "no reply")
+        _seed(tmp_path, build_inference_prompt(demo, None, text, SCHEMA), 0.0, completed_inference_json(
+            text, text.replace(word, f'<ent id="0" type="Person">{word}</ent>', 1),
+            [{"id": 0, "name": word, "type": "Person"}], [], SCHEMA,
+        ))
+    task = {
+        "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
+        "documents": [{"id": doc_id, "text": text} for doc_id, text, _ in documents],
+    }
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task), encoding="utf-8")
+    index_path = tmp_path / "index.json"
+    return ["index", "--dataset", str(kept), "--output", str(index_path)], [
+        "infer", "--task", str(task_path), "--index", str(index_path),
+        "--output", str(tmp_path / "predictions.jsonl"),
+        "--exclusions", str(exclusions), "--config", str(_write_config(tmp_path)),
+    ]
 
 
 class TestIndexInferEval:
@@ -557,48 +621,42 @@ class TestIndexInferEval:
         assert not predictions_path.exists()
 
     def test_infer_out_of_vocabulary_query_takes_lowest_eligible_demo(self, tmp_path, capsys):
-        from synthex.core import save_records
-
-        demos = [
-            trivial_record("d2", "Alpha beta gamma delta."),
-            trivial_record("d0", "Gamma delta epsilon."),
-            trivial_record("d1", "Beta beta alpha."),
-        ]
-        kept = tmp_path / "kept.jsonl"
-        save_records(demos, kept)
-        index_path = tmp_path / "index.json"
-        assert main(["index", "--dataset", str(kept), "--output", str(index_path)]) == 0
-        exclusions = tmp_path / "exclusions.txt"
-        exclusions.write_text("d0\n", encoding="utf-8")
-        # q1 shares most words with d2; q2 shares none with any demonstration,
-        # so it scores 0.0 everywhere and takes the lowest eligible doc id.
-        documents = [
-            ("q1", "Gamma delta alpha.\n\nOmega.", demos[0]),
-            ("q2", "Zeta eta theta.\n\nIota kappa.", demos[2]),
-        ]
-        for _, text, demo in documents:
-            word = text.split()[0]
-            _seed(tmp_path, build_inference_prompt(demo, None, text.split("\n")[0], SCHEMA), 0.0, "no reply")
-            _seed(tmp_path, build_inference_prompt(demo, None, text, SCHEMA), 0.0, completed_inference_json(
-                text, text.replace(word, f'<ent id="0" type="Person">{word}</ent>', 1),
-                [{"id": 0, "name": word, "type": "Person"}], [], SCHEMA,
-            ))
-        task = {
-            "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
-            "documents": [{"id": doc_id, "text": text} for doc_id, text, _ in documents],
-        }
-        task_path = tmp_path / "task.json"
-        task_path.write_text(json.dumps(task), encoding="utf-8")
-        predictions_path = tmp_path / "predictions.jsonl"
-        code = main([
-            "infer", "--task", str(task_path), "--index", str(index_path), "--output", str(predictions_path),
-            "--exclusions", str(exclusions), "--config", str(_write_config(tmp_path)),
-        ])
+        index, infer = _write_three_demo_task(tmp_path)
+        assert main(index) == 0
+        code = main(infer)
         assert code == 0, capsys.readouterr().err
-        predictions = [json.loads(line) for line in predictions_path.read_text().splitlines()]
+        predictions = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text().splitlines()]
         assert [(p["doc_id"], p["valid"], p["provenance"]["demo_doc_id"]) for p in predictions] == [
             ("q1", True, "d2"), ("q2", True, "d1"),
         ]
+
+    def test_index_weighs_no_demonstration(self, tmp_path, capsys, monkeypatch):
+        index, infer = _write_three_demo_task(tmp_path)
+        index_path, predictions_path = tmp_path / "index.json", tmp_path / "predictions.jsonl"
+        assert main(index) == 0
+        assert main(infer) == 0
+        expected = (capsys.readouterr().out, index_path.read_bytes(), predictions_path.read_bytes())
+        index_path.unlink()
+        predictions_path.unlink()
+
+        def refuse(self, counts):
+            raise AssertionError("synthex index weighed a demonstration")
+
+        monkeypatch.setattr(FallbackEmbedder, "weigh", refuse)
+        assert main(index) == 0
+        index_line = capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(infer) == 0
+        assert (index_line + capsys.readouterr().out, index_path.read_bytes(), predictions_path.read_bytes()) == expected
+
+    def test_index_refuses_a_demonstration_with_no_token(self, tmp_path, capsys):
+        kept = tmp_path / "kept.jsonl"
+        blank = {"doc_id": "d1", "text": " \x85 ", "annotated_text": " \x85 ", "entities": [], "relations": []}
+        dump_jsonl([{**UNI_VIENNA_DICT, "doc_id": "d0"}, blank], kept)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--dataset", str(kept), "--output", str(index_path)]) == 1
+        assert capsys.readouterr().err == "error: cannot embed empty text\n"
+        assert not index_path.exists()
 
     def test_eval_without_predictions(self, tmp_path, capsys):
         predictions = tmp_path / "preds.jsonl"

@@ -26,7 +26,7 @@ from synthex.demostore import (
     cosine,
 )
 
-from conftest import trivial_record
+from conftest import BROKEN_REPLIES, RawReplyHandler, trivial_record
 
 
 class TestCosine:
@@ -202,6 +202,13 @@ class TestProviderEmbedder:
         with pytest.raises(ProviderError):
             embedder.embed("hello")
 
+    @pytest.mark.parametrize("broken", sorted(BROKEN_REPLIES))
+    def test_broken_response(self, raw_server, monkeypatch, broken):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        RawReplyHandler.reply = lambda body: BROKEN_REPLIES[broken]
+        with pytest.raises(ProviderError):
+            ProviderEmbedder(base_url=raw_server, model_name="emb-1").embed("hello")
+
     def test_zero_vector(self, embed_server):
         _EmbedHandler.vector = [0.0, 0.0]
         embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
@@ -217,6 +224,59 @@ def _corpus(n: int, rng: random.Random, vocab=None):
         words[0] = words[0].capitalize()
         records.append(trivial_record(f"doc{i:03d}", " ".join(words) + "."))
     return records
+
+
+def _counting_weigh(monkeypatch) -> list:
+    """Log every ``FallbackEmbedder.weigh`` call; returns the log."""
+    calls = []
+    weigh = FallbackEmbedder.weigh
+
+    def counted(self, counts):
+        calls.append(counts)
+        return weigh(self, counts)
+
+    monkeypatch.setattr(FallbackEmbedder, "weigh", counted)
+    return calls
+
+
+class TestDerivation:
+    """A fallback index weighs its demonstrations once: while loading, or on
+    the first retrieval from a built index, whichever thread asks first."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_concurrent_first_retrievals_derive_once(self, tmp_path, monkeypatch, source):
+        rng = random.Random(11)
+        records = _corpus(40, rng)
+        queries = [r.text for r in _corpus(8, rng)]
+        serial = build_index(records, mode="fallback")
+        expected = [[(r.doc_id, s.hex()) for r, s in serial.retrieve_scored(q, k=5)] for q in queries]
+        path = tmp_path / "index.jsonl"
+        serial.save(path)
+
+        calls = _counting_weigh(monkeypatch)
+        index = build_index(records, mode="fallback") if source == "built" else DemoIndex.load(path)
+        if source == "loaded":
+            assert len(calls) == len(records)
+        barrier = threading.Barrier(len(queries))
+        results = [None] * len(queries)
+
+        def retrieve(i):
+            barrier.wait(timeout=10)
+            results[i] = [(r.doc_id, s.hex()) for r, s in index.retrieve_scored(queries[i], k=5)]
+
+        threads = [threading.Thread(target=retrieve, args=(i,)) for i in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert len(calls) == len(records) + len(queries)
 
 
 class TestBuildIndex:

@@ -23,7 +23,7 @@ from synthex.gateway import (
     map_contained,
 )
 
-from conftest import ChatStubHandler
+from conftest import BROKEN_REPLIES, ChatStubHandler, RawReplyHandler, chat_ok
 
 
 PARAMS = GenerationParams(temperature=0.0, model_name="m1")
@@ -154,6 +154,27 @@ class TestLiveTransport:
         )
         with pytest.raises(TransportError):
             gateway.complete("ping", PARAMS)
+
+    @pytest.mark.parametrize("broken, error, attempts", [
+        ("truncated", TransportError, 3),
+        ("truncated-503", EndpointError, 3),
+        ("bad-status-line", TransportError, 3),
+        ("not-utf8", EndpointError, 1),
+    ])
+    def test_broken_response_is_a_gateway_error(self, raw_server, tmp_path, monkeypatch, broken, error, attempts):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        RawReplyHandler.reply = lambda body: BROKEN_REPLIES[broken]
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=raw_server)
+        with pytest.raises(error):
+            gateway.complete("ping", PARAMS)
+        assert len(RawReplyHandler.requests) == attempts
+
+    def test_broken_response_retried_then_answered(self, raw_server, tmp_path, monkeypatch):
+        monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
+        replies = [BROKEN_REPLIES["truncated"], BROKEN_REPLIES["bad-status-line"], chat_ok("pong")]
+        RawReplyHandler.reply = lambda body: replies.pop(0)
+        gateway = ChatGateway(cache_dir=tmp_path, mode="record", base_url=raw_server)
+        assert gateway.complete("ping", PARAMS) == "pong"
 
     def test_deeply_nested_completion_body_is_endpoint_error(self):
         with pytest.raises(EndpointError, match="malformed completion response"):

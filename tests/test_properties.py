@@ -3,8 +3,8 @@ persisted JSON text; rendering then parsing inline markup is lossless or
 refused; sentence splitting, truncation, mention re-anchoring and JSON
 extraction keep their invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
-brace-scanner reference, and the fallback index build with a reference that
-tokenises each text twice; phase-2 filtering drops exactly what its verdicts
+brace-scanner reference, and the fallback index, built or loaded, with a
+reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
 decide."""
 
 import json
@@ -33,7 +33,7 @@ from synthex.core import (
     record_from_dict,
     record_to_dict,
 )
-from synthex.demostore import EmptyTextError, FallbackEmbedder, build_index
+from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, build_index
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
 from synthex.gateway import MAX_JSON_DEPTH, NoJsonFoundError, ResponseSyntaxError, extract_json_block
 from synthex.markup import MarkupError, parse_annotated, render_annotated
@@ -508,6 +508,38 @@ def test_fallback_index_matches_the_two_pass_reference(texts, queries):
         got = index.retrieve_scored(query, k=len(texts))
         assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4))
+@example(["Fff eee h j aa eee hh jjj."], ["eee"])
+def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries):
+    """The reference check above on an index saved and loaded back, which
+    derives its weights while loading rather than on its first retrieval."""
+    records = [
+        AnnotationRecord(doc_id=f"d{i}", text=text, annotated_text=text, entities=(), mentions=(), triples=(),
+                         entity_types=(), relation_types=())
+        for i, text in enumerate(texts)
+    ]
+    try:
+        vocabulary, positions, entries = reference_fallback_index([truncate_text(t, MIN_WORDS) for t in texts])
+    except EmptyTextError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.jsonl"
+        build_index(records, mode="fallback", min_words=MIN_WORDS).save(path)
+        index = DemoIndex.load(path)
+    assert index.vocabulary == vocabulary
+    assert [hexed(e.terms) for e in index.entries] == [hexed(terms) for terms, _ in entries]
+    assert [e.norm.hex() for e in index.entries] == [norm.hex() for _, norm in entries]
+    for query in queries:
+        try:
+            scores = reference_scores(positions, entries, truncate_text(query, MIN_WORDS))
+        except EmptyTextError:
+            continue
+        expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
+        got = index.retrieve_scored(query, k=len(texts))
+        assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
 
 # A verdict response and the letter it stands for; None is no boxed letter.
 VERDICT_RESPONSES = [
