@@ -72,7 +72,25 @@ class SourceDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SourceDocument":
-        return cls(id=str(data["id"]), text=data["text"], title=data.get("title"))
+        return cls(id=decode_doc_id(data["id"]), text=data["text"], title=data.get("title"))
+
+
+def decode_doc_id(value) -> str:
+    """A document id read from JSON: a string, or an integer written as one."""
+    if isinstance(value, str):
+        return value
+    # ``type(x) is int`` refuses a bool as well as a float, here and in the codecs below.
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"a document id is a string or an integer, not {value!r}")
+
+
+def checked(value, kind: type, name: str):
+    """``value`` when it is a ``kind`` (a JSON list or object read as
+    ``list`` or ``dict``); TypeError naming the field ``name`` otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} is a {kind.__name__}, not {value!r:.100}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,7 +121,10 @@ class Entity:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Entity":
-        return cls(id=int(data["id"]), name=data["name"], type_label=data["type"])
+        entity_id, name, type_label = data["id"], data["name"], data["type"]
+        if type(entity_id) is not int or not isinstance(name, str) or not isinstance(type_label, str):
+            raise TypeError(f"an entity is an integer id with a string name and type, not {data!r}")
+        return cls(id=entity_id, name=name, type_label=type_label)
 
 
 @dataclass(frozen=True)
@@ -126,12 +147,14 @@ class Mention:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Mention":
-        return cls(
-            entity_id=int(data["entity_id"]),
-            span=Span(int(data["start"]), int(data["end"])),
-            surface=data["surface"],
-            type_label=data.get("type", ""),
-        )
+        entity_id, start, end = data["entity_id"], data["start"], data["end"]
+        surface, type_label = data["surface"], data.get("type", "")
+        if (
+            type(entity_id) is not int or type(start) is not int or type(end) is not int
+            or not isinstance(surface, str) or not isinstance(type_label, str)
+        ):
+            raise TypeError(f"a mention is integer entity_id, start and end, string surface and type, not {data!r}")
+        return cls(entity_id=entity_id, span=Span(start, end), surface=surface, type_label=type_label)
 
 
 @dataclass(frozen=True)
@@ -160,13 +183,14 @@ class Triple:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Triple":
-        return cls(
-            description=data.get("description", ""),
-            triple_string=data.get("triple_string", ""),
-            subject=int(data["subject"]),
-            predicate=data["predicate"],
-            object=int(data["object"]),
-        )
+        description, triple_string = data.get("description", ""), data.get("triple_string", "")
+        subject, predicate, obj = data["subject"], data["predicate"], data["object"]
+        if (
+            type(subject) is not int or type(obj) is not int or not isinstance(predicate, str)
+            or not isinstance(description, str) or not isinstance(triple_string, str)
+        ):
+            raise TypeError(f"a triple is an integer subject and object with string predicate and texts, not {data!r}")
+        return cls(description, triple_string, subject, predicate, obj)
 
 
 @dataclass(frozen=True)
@@ -258,31 +282,34 @@ def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
     recovered by parsing the annotated text, and missing type inventories are
     derived from the entities/relations themselves.
     """
-    entities = tuple(map(Entity.from_dict, data.get("entities", [])))
-    triples = tuple(map(Triple.from_dict, data.get("relations", data.get("triples", []))))
+    entities = tuple(map(Entity.from_dict, checked(data.get("entities", []), list, "entities")))
+    triples = tuple(map(Triple.from_dict, checked(data.get("relations", data.get("triples", [])), list, "relations")))
     annotated_text = data.get("annotated_text", data.get("text_with_spans", ""))
     text = data["text"]
     if not isinstance(text, str) or not isinstance(annotated_text, str):
         raise TypeError("text and annotated_text must be strings")
     if "mentions" in data:
-        mentions = tuple(map(Mention.from_dict, data["mentions"]))
+        mentions = tuple(map(Mention.from_dict, checked(data["mentions"], list, "mentions")))
     else:
         from .markup import parse_annotated
 
         _, parsed = parse_annotated(annotated_text)
         mentions = tuple(parsed)
-    entity_types = tuple(data.get("entity_types") or derive_entity_types(entities))
-    relation_types = tuple(data.get("relation_types") or derive_relation_types(triples))
+    entity_types = data.get("entity_types") or derive_entity_types(entities)
+    relation_types = data.get("relation_types") or derive_relation_types(triples)
+    for types in (entity_types, relation_types):
+        if not isinstance(types, (list, tuple)) or not all(isinstance(t, str) for t in types):
+            raise TypeError(f"entity_types and relation_types are lists of strings, not {types!r}")
     return AnnotationRecord(
-        doc_id=str(data.get("doc_id", default_doc_id)),
+        doc_id=decode_doc_id(data.get("doc_id", default_doc_id)),
         text=text,
         annotated_text=annotated_text,
         entities=entities,
         mentions=mentions,
         triples=triples,
-        entity_types=entity_types,
-        relation_types=relation_types,
-        provenance=data.get("provenance", {}),
+        entity_types=tuple(entity_types),
+        relation_types=tuple(relation_types),
+        provenance=checked(data.get("provenance", {}), dict, "provenance"),
     )
 
 
@@ -310,15 +337,15 @@ def dump_jsonl(items: Iterable[dict], path: str | Path):
 
 
 def decode_object(text: bytes, decode, where: str):
-    """``decode(object)`` for the UTF-8 bytes of one JSON object of a local
-    file; the one place a local file is parsed. ValueError names ``where`` (the
-    file and the place in it) when ``text`` is not UTF-8, JSON or an object,
-    or when ``decode`` finds a field missing, of the wrong type or invalid."""
+    """``decode(object)`` for the UTF-8 bytes of one JSON object from outside:
+    a local file or line, a cache entry, an HTTP body. ValueError names
+    ``where`` when ``text`` is not UTF-8, JSON within the decoder's depth and
+    digit limits, or an object, or when ``decode`` finds a bad or missing field."""
     try:
         data = json.loads(text.decode("utf-8"))
         if isinstance(data, dict):
             return decode(data)
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError, SynthexError) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError, OverflowError, RecursionError, SynthexError) as exc:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
     raise ValueError(f"{where} is not a JSON object")
 
@@ -332,7 +359,7 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_json(path: str | Path, decode):
+def load_json(path: str | Path, decode=lambda data: data):
     """``decode(object)`` for a file of one JSON object; errors name the file."""
     return decode_object(Path(path).read_bytes(), decode, str(path))
 

@@ -34,7 +34,6 @@ prefix of the record text and, in provider mode, its vector.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import operator
 import threading
@@ -46,6 +45,7 @@ from .annotator import truncate_text
 from .core import (
     AnnotationRecord,
     SynthexError,
+    decode_object,
     dump_jsonl,
     load_jsonl,
     read_text,
@@ -94,6 +94,17 @@ def _scorable_norm(vector) -> float:
     if not 0.0 < norm < math.inf:
         raise ZeroVectorError(f"vector norm {norm} is zero or not finite")
     return norm
+
+
+def provider_vector(value) -> list[float]:
+    """A provider's embedding, from an embeddings body or an index file, as
+    floats: a JSON list of numbers, booleans excluded, whose norm scoring can
+    divide by."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise TypeError(f"an embedding is a list of numbers, not {value!r:.100}")
+    vector = [float(x) for x in value]
+    _scorable_norm(vector)
+    return vector
 
 
 def cosine(u: list[float], v: list[float]) -> float:
@@ -170,12 +181,9 @@ class ProviderEmbedder:
                 api_key=self.api_key,
                 timeout=EMBED_TIMEOUT,
             )
-            embedding = json.loads(raw)["data"][0]["embedding"]
-            vector = [float(x) for x in embedding] if isinstance(embedding, list) else []
-            _scorable_norm(vector)
-        except (SynthexError, RecursionError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            return provider_vector(decode_object(raw, lambda data: data["data"][0]["embedding"], f"{raw[:200]!r}"))
+        except (SynthexError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
-        return vector
 
 
 @dataclass(frozen=True)
@@ -389,9 +397,7 @@ class DemoIndex:
             chars = data["truncated_chars"]
             if isinstance(chars, bool) or not isinstance(chars, int):
                 raise TypeError(f"truncated_chars must be an integer, not {chars!r}")
-            vector = [float(x) for x in data["vector"]] if header["mode"] == "provider" else None
-            if vector is not None:
-                _scorable_norm(vector)
+            vector = provider_vector(data["vector"]) if header["mode"] == "provider" else None
             return record, record.text[:chars], vector
 
         entries = load_jsonl(path, decode)[1:]

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import SynthexError, atomic_writer
+from .core import SynthexError, atomic_writer, decode_object, load_json
 
 
 class GatewayError(SynthexError):
@@ -156,12 +156,12 @@ class ChatGateway:
     def _read_cache(self, key: str, prompt: str, params: GenerationParams) -> str:
         """The cached response, or CacheMissError naming the key and why."""
         try:
-            data = json.loads((self.cache_dir / f"{key}.json").read_text(encoding="utf-8"))
+            data = load_json(self.cache_dir / f"{key}.json")
         except FileNotFoundError:
             raise CacheMissError(f"no cached response for key {key[:12]}…") from None
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except ValueError as exc:
             raise CacheMissError(f"cache entry {key[:12]}… does not parse: {exc}") from None
-        if not isinstance(data, dict) or not isinstance(data.get("response_text"), str):
+        if not isinstance(data.get("response_text"), str):
             raise CacheMissError(f"cache entry {key[:12]}… has no response_text")
         request = {"prompt": prompt, "model_name": params.model_name, "temperature": params.temperature}
         differing = [name for name, value in request.items() if data.get(name) != value]
@@ -185,26 +185,24 @@ class ChatGateway:
         return self._parse_completion(raw)
 
     @staticmethod
-    def _parse_completion(raw: str) -> str:
+    def _parse_completion(raw: bytes) -> str:
         try:
-            data = json.loads(raw)
-            content = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError) as exc:
-            raise EndpointError(f"malformed completion response: {raw[:200]!r}") from exc
+            content = decode_object(raw, lambda data: data["choices"][0]["message"]["content"], f"{raw[:200]!r}")
+        except ValueError as exc:
+            raise EndpointError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
             raise EndpointError(f"completion content is not text: {content!r}")
         return content
 
 
-def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
-    """POST ``body`` as JSON and return the response text.
+def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> bytes:
+    """POST ``body`` as JSON and return the response body's bytes.
 
     429 and 5xx answers, connection errors and broken responses (a bad
     status line, a body cut short) are retried, for :data:`MAX_RETRIES`
     attempts in all, with exponential backoff from :data:`BACKOFF`; any
     other HTTP error raises :class:`EndpointError` at once, since client
-    errors will not improve on retry, and so does a body that is not UTF-8,
-    like any other malformed body. Exhausted retries raise the last
+    errors will not improve on retry. Exhausted retries raise the last
     :class:`EndpointError`, or :class:`TransportError` when no answer
     arrived whole.
     """
@@ -217,9 +215,7 @@ def post_json(url: str, body: dict, *, api_key: str, timeout: float) -> str:
         request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EndpointError(f"response body is not UTF-8: {exc}") from exc
+                return response.read()
         except urllib.error.HTTPError as exc:
             try:
                 detail = exc.read().decode("utf-8", "replace")
@@ -294,10 +290,10 @@ def extract_json_block(response: str):
     response is decoded.
 
     Prefers the first fenced block labeled ``json``; otherwise takes the first
-    object the stdlib decoder reads from the first ``{``. The payload must
-    be strict JSON — single-quoted pseudo-JSON is a syntax error, not
-    something to repair, and so is nesting deeper than
-    :data:`MAX_JSON_DEPTH`, whatever stack the caller runs on.
+    object the stdlib decoder reads from the first ``{``. The payload must be
+    strict JSON: single-quoted pseudo-JSON is a syntax error, not something to
+    repair, and so are nesting deeper than :data:`MAX_JSON_DEPTH`, whatever
+    stack the caller runs on, and an integer over the interpreter's digit limit.
     """
     fence = _JSON_FENCE.search(response)
     try:
@@ -312,7 +308,7 @@ def extract_json_block(response: str):
         candidate = response[start:]
         _check_depth(candidate)
         return _DECODER.raw_decode(candidate)[0]
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
 
 

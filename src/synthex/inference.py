@@ -29,6 +29,8 @@ from .core import (
     SourceDocument,
     Span,
     Triple,
+    checked,
+    decode_doc_id,
     normalize_surface,
     split_paragraphs,
 )
@@ -173,14 +175,15 @@ def _invalid(doc_id: str, responses: tuple[str, str], reason: str) -> Prediction
 
 def _prediction_from_raw(
     doc: SourceDocument, raw: RawAnnotation, responses: tuple[str, str]
-) -> Prediction | None:
-    """Build a valid prediction, or None when the echo check fails."""
+) -> Prediction:
+    """Build a valid prediction, or an invalid one when the markup does not
+    parse or the echo check fails."""
     try:
         plain, parsed_mentions = parse_annotated(raw.text_with_spans)
-    except MarkupError:
-        return None
+    except MarkupError as exc:
+        return _invalid(doc.id, responses, f"markup: {exc}")
     if _collapse_whitespace(plain) != _collapse_whitespace(doc.text):
-        return None
+        return _invalid(doc.id, responses, "echo check failed")
     known_ids = {e.id for e in raw.entities}
     anchored, dropped = _reanchor_mentions(
         [m for m in parsed_mentions if m.entity_id in known_ids], doc.text
@@ -269,8 +272,8 @@ class InferencePipeline:
         except UnreadableResponseError as exc:
             return _invalid(doc.id, responses, f"parse: {exc}")
         prediction = _prediction_from_raw(doc, raw, responses)
-        if prediction is None:
-            return _invalid(doc.id, responses, "echo check failed")
+        if not prediction.valid:
+            return prediction
         prediction = replace(prediction, provenance={**prediction.provenance, "demo_doc_id": demo.doc_id})
         return enforce_schema(prediction, schema)
 
@@ -300,12 +303,17 @@ def prediction_to_dict(pred: Prediction) -> dict:
 
 
 def prediction_from_dict(data: dict) -> Prediction:
+    valid, raw_responses = data["valid"], data.get("raw_responses", ["", ""])
+    if not isinstance(valid, bool):
+        raise TypeError(f"valid is true or false, not {valid!r}")
+    if not isinstance(raw_responses, list) or [type(r) for r in raw_responses] != [str, str]:
+        raise TypeError(f"raw_responses is a list of two strings, not {raw_responses!r:.100}")
     return Prediction(
-        doc_id=str(data["doc_id"]),
-        entities=tuple(map(Entity.from_dict, data.get("entities", []))),
-        mentions=tuple(map(Mention.from_dict, data.get("mentions", []))),
-        triples=tuple(map(Triple.from_dict, data.get("triples", []))),
-        valid=bool(data["valid"]),
-        raw_responses=tuple(data.get("raw_responses", ["", ""])),
-        provenance=data.get("provenance", {}),
+        doc_id=decode_doc_id(data["doc_id"]),
+        entities=tuple(map(Entity.from_dict, checked(data.get("entities", []), list, "entities"))),
+        mentions=tuple(map(Mention.from_dict, checked(data.get("mentions", []), list, "mentions"))),
+        triples=tuple(map(Triple.from_dict, checked(data.get("triples", []), list, "triples"))),
+        valid=valid,
+        raw_responses=tuple(raw_responses),
+        provenance=checked(data.get("provenance", {}), dict, "provenance"),
     )

@@ -332,13 +332,19 @@ def chat_ok(content: str) -> bytes:
     return http_ok(json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode())
 
 
-# Responses that break HTTP or the body's encoding.
+# Responses that break HTTP, the body's encoding or its decoding.
 BROKEN_REPLIES = {
     # Declares 100 bytes and closes after 10.
     "truncated": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789",
     "truncated-503": b"HTTP/1.1 503 Busy\r\nContent-Length: 100\r\n\r\n0123456789",
     "bad-status-line": b"GARBAGE\r\n\r\n",
     "not-utf8": http_ok(b'{"data": "\xff"}'),
+    # A chat and an embeddings body in one, but for an integer literal over
+    # the interpreter's 4,300-digit limit.
+    "huge-integer": http_ok(
+        b'{"choices": [{"message": {"content": "x"}}], "data": [{"embedding": [0.6, 0.8]}], "n": '
+        + b"7" * 5000 + b"}"
+    ),
 }
 
 

@@ -9,10 +9,10 @@ import pytest
 
 from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
-from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, save_records
+from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, record_to_dict, save_records
 from synthex.demostore import FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
-from synthex.inference import InferencePipeline, build_inference_prompt
+from synthex.inference import InferencePipeline, Prediction, build_inference_prompt, prediction_to_dict
 from synthex.postprocess import build_triple_verification_prompt
 
 from conftest import (
@@ -176,11 +176,13 @@ class TestGenerate:
         assert "1 documents failed on gateway errors" in captured.err
         assert "annotated 2/2 documents, yield 100.00%" in captured.out
 
-    def test_deeply_nested_response_is_a_syntax_error(self, tmp_path, capsys):
+    def _assert_doc1_fails_on_syntax(self, tmp_path, capsys, response):
+        """Replaying ``response`` for both attempts at doc1 of two documents
+        costs doc1 alone, on two syntax errors."""
         corpus = _write_generate_fixture(tmp_path, n_good=2)
         prompt = build_zero_shot_prompt(_corpus_doc(1)["text"])
         for temperature in (0.0, 0.2):
-            _seed(tmp_path, prompt, temperature, '{"text_with_spans": ' + "[" * 100_000 + "]" * 100_000 + "}")
+            _seed(tmp_path, prompt, temperature, response)
         out_dir = tmp_path / "out"
         config = _write_config(tmp_path)
         code = main(["generate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--config", str(config)])
@@ -190,6 +192,14 @@ class TestGenerate:
         assert [f["doc_id"] for f in failures] == ["doc1"]
         assert [[e["kind"] for e in a["errors"]] for a in failures[0]["attempts"]] == [["syntax_error"]] * 2
         assert "annotated 1/2 documents, yield 50.00%" in capsys.readouterr().out
+
+    def test_deeply_nested_response_is_a_syntax_error(self, tmp_path, capsys):
+        self._assert_doc1_fails_on_syntax(
+            tmp_path, capsys, '{"text_with_spans": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        )
+
+    def test_integer_over_the_digit_limit_is_a_syntax_error(self, tmp_path, capsys):
+        self._assert_doc1_fails_on_syntax(tmp_path, capsys, '{"text_with_spans": ' + "7" * 5000 + "}")
 
     @pytest.mark.parametrize("broken", sorted(BROKEN_REPLIES))
     def test_broken_response_costs_one_document(self, tmp_path, capsys, monkeypatch, raw_server, broken):
@@ -551,7 +561,7 @@ class TestIndexInferEval:
     def test_infer_contains_query_vector_that_cannot_be_scored(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
         def post_json(url, body, **_):
             vector = [1e-200, 1e-200] if "visited" in body["input"] else [1.0, 0.5]
-            return json.dumps({"data": [{"embedding": vector}]})
+            return json.dumps({"data": [{"embedding": vector}]}).encode()
 
         monkeypatch.setattr("synthex.demostore.post_json", post_json)
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
@@ -830,11 +840,15 @@ class TestMalformedLocalInputs:
         ("index", json.dumps({**UNI_VIENNA_DICT, "text": 5}),
          "bad.jsonl: line 1: TypeError: text and annotated_text must be strings"),
         ("stats", json.dumps({**UNI_VIENNA_DICT, "entities": [{"id": float("inf"), "name": "a", "type": "T"}]}),
-         "bad.jsonl: line 1: OverflowError"),
+         "bad.jsonl: line 1: TypeError: an entity is an integer id"),
+        ("stats", json.dumps({**UNI_VIENNA_DICT, "entity_types": "Person"}),
+         "bad.jsonl: line 1: TypeError: entity_types and relation_types are lists of strings, not 'Person'"),
+        ("ingest", '{"id": null, "text": "Alpha."}\n',
+         "line 1: TypeError: a document id is a string or an integer, not None"),
     ], ids=["ingest", "stats", "stats-top-k", "index", "postprocess", "eval", "infer-list", "infer-schema",
             "infer-documents", "infer-no-documents", "ingest-text-type", "infer-text-type", "infer-schema-type",
             "infer-empty-schema", "stats-entities-type", "eval-entities-type", "stats-bad-markup", "index-text-type",
-            "stats-id-out-of-range"])
+            "stats-id-out-of-range", "stats-types-string", "ingest-id-null"])
     def test_reported_as_an_error(self, tmp_path, capsys, command, content, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content, encoding="utf-8")
@@ -854,6 +868,40 @@ class TestMalformedLocalInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, bad, message", [
+        (lambda pred, gold: gold["entities"][0].update(name=5), "gold", "TypeError: an entity is an integer id"),
+        (lambda pred, gold: gold["entities"][0].update(id=True), "gold", "TypeError: an entity is an integer id"),
+        (lambda pred, gold: gold.update(doc_id=1.5), "gold", "TypeError: a document id is a string or an integer"),
+        (lambda pred, gold: pred["entities"][0].update(id=1.7), "predictions", "TypeError: an entity is"),
+        (lambda pred, gold: pred["mentions"][0].update(surface=5), "predictions", "TypeError: a mention is"),
+        (lambda pred, gold: pred["mentions"][0].update(start=False), "predictions", "TypeError: a mention is"),
+        (lambda pred, gold: pred["triples"][0].update(predicate=["x"]), "predictions", "TypeError: a triple is"),
+        (lambda pred, gold: pred.update(valid="false"), "predictions", "TypeError: valid is true or false"),
+        (lambda pred, gold: pred.update(raw_responses="ab"), "predictions", "TypeError: raw_responses is a list"),
+        (lambda pred, gold: pred.update(raw_responses=["a"]), "predictions", "TypeError: raw_responses is a list"),
+        (lambda pred, gold: pred.update(doc_id=None), "predictions", "TypeError: a document id is"),
+        (lambda pred, gold: pred.update(entities=""), "predictions", "TypeError: entities is a list, not ''"),
+        (lambda pred, gold: pred.update(provenance=[1]), "predictions", "TypeError: provenance is a dict, not [1]"),
+        (lambda pred, gold: gold.update(mentions={}), "gold", "TypeError: mentions is a list, not {}"),
+    ], ids=["gold-name", "gold-id-bool", "gold-doc-id-float", "pred-id-float", "pred-surface", "pred-start-bool",
+            "pred-predicate", "pred-valid-string", "pred-responses-string", "pred-one-response", "pred-doc-id-null",
+            "pred-entities-string", "pred-provenance-list", "gold-mentions-object"])
+    def test_eval_refuses_a_field_of_the_wrong_type(self, tmp_path, capsys, uni_vienna_record, edit, bad, message):
+        record = uni_vienna_record
+        gold = {**record_to_dict(record), "doc_id": "d"}
+        pred = prediction_to_dict(Prediction("d", record.entities, record.mentions, record.triples, True, ("", "")))
+        paths = {"predictions": tmp_path / "preds.jsonl", "gold": tmp_path / "gold.jsonl"}
+        argv = ["eval", "--predictions", str(paths["predictions"]), "--gold", str(paths["gold"])]
+        dump_jsonl([pred], paths["predictions"])
+        dump_jsonl([gold], paths["gold"])
+        assert main(argv) == 0
+        edit(pred, gold)
+        dump_jsonl([pred], paths["predictions"])
+        dump_jsonl([gold], paths["gold"])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {paths[bad]}: line 1: {message}")
 
     @pytest.mark.parametrize("kind, content, message", [
         ("records", b'{"id": "a", "text": "x"', "line 1: JSONDecodeError: Expecting ',' delimiter"),
@@ -936,7 +984,11 @@ class TestMalformedIndexFiles:
          "line 2: TypeError: text and annotated_text must be strings"),
         (lambda header, entry: entry.update(truncated_chars="40"), "line 2: TypeError: truncated_chars"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": ["a"]}],
-         "line 2: ValueError: could not convert string to float"),
+         "line 2: TypeError: an embedding is a list of numbers, not ['a']"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": "12"}],
+         "line 2: TypeError: an embedding is a list of numbers, not '12'"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [True, False]}],
+         "line 2: TypeError: an embedding is a list of numbers, not [True, False]"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [10**400]}],
          "line 2: OverflowError: int too large to convert to float"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [float("nan"), 1.0]}],
@@ -946,7 +998,7 @@ class TestMalformedIndexFiles:
         (lambda header, entry: header.update(min_words="x"),
          "line 1: ValueError: an index file's min_words is a positive integer, not 'x'"),
     ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "vector-item-type",
-            "vector-item-range", "vector-nan", "no-mode", "min-words-type"])
+            "vector-string", "vector-bools", "vector-item-range", "vector-nan", "no-mode", "min-words-type"])
     def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "index.json"

@@ -192,6 +192,8 @@ class TestProviderEmbedder:
         {"data": [{"embedding": [[0.6], [0.8]]}]},
         pytest.param("[" * 100_000, id="nested"),
         pytest.param({"data": [{"embedding": [10**400]}]}, id="overflow"),
+        pytest.param({"data": [{"embedding": "12"}]}, id="string"),
+        pytest.param({"data": [{"embedding": [True, False]}]}, id="bools"),
         pytest.param({"data": [{"embedding": [1e-200, 1e-200]}]}, id="underflow"),
         pytest.param('{"data": [{"embedding": [NaN, 1.0]}]}', id="nan"),
         pytest.param('{"data": [{"embedding": [Infinity, 1.0]}]}', id="infinity"),

@@ -160,6 +160,7 @@ class TestLiveTransport:
         ("truncated-503", EndpointError, 3),
         ("bad-status-line", TransportError, 3),
         ("not-utf8", EndpointError, 1),
+        ("huge-integer", EndpointError, 1),
     ])
     def test_broken_response_is_a_gateway_error(self, raw_server, tmp_path, monkeypatch, broken, error, attempts):
         monkeypatch.setattr("synthex.gateway.BACKOFF", 0.0)
@@ -178,7 +179,7 @@ class TestLiveTransport:
 
     def test_deeply_nested_completion_body_is_endpoint_error(self):
         with pytest.raises(EndpointError, match="malformed completion response"):
-            ChatGateway._parse_completion("[" * 100_000)
+            ChatGateway._parse_completion(b"[" * 100_000)
 
     def test_live_mode_without_endpoint(self, tmp_path):
         gateway = ChatGateway(cache_dir=tmp_path, mode="record")  # empty cache, no endpoint
@@ -200,10 +201,15 @@ def _nest_entry(path):
     path.write_text("[" * 100_000, encoding="utf-8")
 
 
+def _add_huge_integer(path):
+    path.write_bytes(path.read_bytes()[:-1] + b', "n": ' + b"7" * 5000 + b"}")
+
+
 CORRUPTIONS = {
     "truncated": (_truncate_entry, "does not parse"),
     "other prompt": (_change_prompt, "prompt"),
     "nested": (_nest_entry, "does not parse"),
+    "huge integer": (_add_huge_integer, "does not parse"),
 }
 
 

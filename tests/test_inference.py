@@ -305,6 +305,15 @@ class TestInferDocument:
         exchanges, _ = self._seed_two_calls(tmp_path, uni_vienna_record, bad)
         prediction = _pipeline(tmp_path, uni_vienna_record, exchanges).infer(DOC, SCHEMA)
         assert not prediction.valid
+        assert prediction.provenance["invalid_reason"] == "echo check failed"
+
+    @pytest.mark.parametrize("bad_markup", ["Bob Chen", '<ent id="1" type="Organization">Bob Chen</ent></ent>'])
+    def test_markup_error_yields_invalid_with_its_reason(self, tmp_path, uni_vienna_record, bad_markup):
+        bad = _call2_response().replace("Bob Chen</ent>", bad_markup.replace('"', '\\"'), 1)
+        exchanges, _ = self._seed_two_calls(tmp_path, uni_vienna_record, bad)
+        prediction = _pipeline(tmp_path, uni_vienna_record, exchanges).infer(DOC, SCHEMA)
+        assert not prediction.valid
+        assert prediction.provenance["invalid_reason"].startswith("markup: ")
 
     def test_whitespace_relaxed_echo_accepted(self, tmp_path, uni_vienna_record):
         relaxed = _call2_response().replace("Years later", "Years  later")

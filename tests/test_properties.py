@@ -5,7 +5,8 @@ extraction keep their invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
 brace-scanner reference, and the fallback index, built or loaded, with a
 reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
-decide."""
+decide; every reader of outside bytes raises only its documented error on
+hostile input."""
 
 import json
 import math
@@ -14,13 +15,14 @@ import random
 import re
 import tempfile
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synthex.annotator import _is_abbreviation, sentence_spans, truncate_text, word_count
+from synthex.annotator import _is_abbreviation, parse_annotation_response, sentence_spans, truncate_text, word_count
 from synthex.core import (
     AnnotationRecord,
     Entity,
@@ -29,13 +31,26 @@ from synthex.core import (
     Triple,
     derive_entity_types,
     derive_relation_types,
+    load_corpus,
+    load_jsonl,
+    load_records,
     normalize_surface,
     record_from_dict,
     record_to_dict,
 )
-from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, build_index
+from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
-from synthex.gateway import MAX_JSON_DEPTH, NoJsonFoundError, ResponseSyntaxError, extract_json_block
+from synthex.gateway import (
+    MAX_JSON_DEPTH,
+    CacheMissError,
+    ChatGateway,
+    EndpointError,
+    NoJsonFoundError,
+    ResponseSyntaxError,
+    UnreadableResponseError,
+    cache_key,
+    extract_json_block,
+)
 from synthex.markup import MarkupError, parse_annotated, render_annotated
 from synthex.postprocess import (
     STAGE_GATEWAY_ERROR,
@@ -611,3 +626,155 @@ def test_phase2_drops_follow_the_verdicts(case):
             kept_triples = kept_by_id[record.doc_id].triples
             assert not {t.predicate for t in kept_triples} & bad
             assert len(kept_triples) == len(record.triples) - removed
+
+
+# --- containment of hostile outside bytes ---------------------------------------
+
+HOLE = "\x00hole\x00"
+
+
+def _paths(value, path=()):
+    """The path of every value nested in ``value``, its own included."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, (*path, key))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, (*path, i))
+
+
+hostile_values = st.one_of(
+    json_values.map(json.dumps),  # a value of the wrong type, or of the right one
+    st.integers(4301, 6000).map(lambda n: "7" * n),  # over the interpreter's digit limit
+    st.sampled_from([MAX_JSON_DEPTH + 1, 100_000]).map(lambda depth: "[" * depth + "]" * depth),
+    st.sampled_from(["1e999", "-Infinity", "NaN", "true", "null", '""', "{}"]),
+)
+
+
+@st.composite
+def hostile_payloads(draw, valid: dict) -> bytes:
+    """``valid``'s JSON bytes with one nested value, or the whole object,
+    swapped for a hostile value; then perhaps a byte that is not UTF-8
+    inserted, or the bytes cut short."""
+    data = json.loads(json.dumps(valid))
+    path = draw(st.sampled_from(list(_paths(data))))
+    if path:
+        *parents, last = path
+        owner = data
+        for key in parents:
+            owner = owner[key]
+        owner[last] = HOLE
+    else:
+        data = HOLE
+    payload = json.dumps(data, ensure_ascii=False).replace(json.dumps(HOLE), draw(hostile_values)).encode()
+    at = draw(st.integers(0, len(payload)))
+    damage = draw(st.sampled_from(["none", "not-utf8", "cut"]))
+    if damage == "not-utf8":
+        return payload[:at] + b"\xff" + payload[at:]
+    return payload[:at] if damage == "cut" else payload
+
+
+CONTAINED_PROMPT = "ping"
+CONTAINED_PARAMS = params_for("contained-model", 0.0)
+CONTAINED_RECORD = make_passing_record(random.Random(7), "d7")
+
+
+def _read_cache_entry(payload: bytes, tmp: Path):
+    (tmp / f"{cache_key(CONTAINED_PROMPT, CONTAINED_PARAMS)}.json").write_bytes(payload)
+    return ChatGateway(cache_dir=tmp, mode="replay").complete(CONTAINED_PROMPT, CONTAINED_PARAMS)
+
+
+def _read_embeddings_body(payload: bytes, tmp: Path):
+    with mock.patch("synthex.demostore.post_json", lambda *args, **kwargs: payload):
+        return ProviderEmbedder("", "embedding-model").embed("hello")
+
+
+def _read_line(read):
+    def reader(payload: bytes, tmp: Path):
+        path = tmp / "lines.jsonl"
+        path.write_bytes(payload + b"\n")
+        return read(path)
+
+    return reader
+
+
+LEAF_TYPES = {"int": int, "str": str, "bool": bool, "float": float}
+
+
+def _assert_well_typed(value, annotation: str):
+    """``value`` holds the type ``annotation`` names, down through tuples,
+    lists and dataclass fields; a bool is not an int. Other annotations are
+    not checked."""
+    if annotation in LEAF_TYPES:
+        assert type(value) is LEAF_TYPES[annotation], (annotation, value)
+    elif annotation.startswith(("tuple[", "list[")):
+        assert isinstance(value, (tuple, list)), (annotation, value)
+        element = annotation[annotation.index("[") + 1 :].split(",")[0].rstrip("]")
+        for item in value:
+            _assert_well_typed(item, element)
+    elif is_dataclass(value):
+        assert type(value).__name__ == annotation, (annotation, value)
+        for f in fields(value):
+            _assert_well_typed(getattr(value, f.name), f.type)
+
+
+# Reader name: a valid payload, the reader, the type it returns and the one
+# error it documents.
+CONTAINED_READERS = {
+    "cache entry": (
+        {"cache_key": cache_key(CONTAINED_PROMPT, CONTAINED_PARAMS), "model_name": "contained-model",
+         "temperature": 0.0, "max_tokens": None, "prompt": CONTAINED_PROMPT, "response_text": "pong"},
+        _read_cache_entry,
+        "str",
+        CacheMissError,
+    ),
+    "completion body": (
+        {"choices": [{"message": {"role": "assistant", "content": "pong"}}]},
+        lambda payload, tmp: ChatGateway._parse_completion(payload),
+        "str",
+        EndpointError,
+    ),
+    "embeddings body": ({"data": [{"embedding": [0.6, 0.8]}]}, _read_embeddings_body, "list[float]", ProviderError),
+    "record line": (record_to_dict(CONTAINED_RECORD), _read_line(load_records), "list[AnnotationRecord]", ValueError),
+    "corpus line": (
+        {"id": "d7", "title": "Title", "text": CONTAINED_RECORD.text},
+        _read_line(load_corpus),
+        "list[SourceDocument]",
+        ValueError,
+    ),
+    "prediction line": (
+        prediction_to_dict(Prediction("d7", CONTAINED_RECORD.entities, CONTAINED_RECORD.mentions,
+                                      CONTAINED_RECORD.triples, True, ("a", "b"), {"demo_doc_id": "d1"})),
+        _read_line(lambda path: load_jsonl(path, lambda data, _: prediction_from_dict(data))),
+        "list[Prediction]",
+        ValueError,
+    ),
+    "model response": (
+        {"text_with_spans": CONTAINED_RECORD.annotated_text,
+         "entities": [e.to_dict() for e in CONTAINED_RECORD.entities],
+         "triples": [t.to_dict() for t in CONTAINED_RECORD.triples],
+         "entity_types": list(CONTAINED_RECORD.entity_types),
+         "relation_types": list(CONTAINED_RECORD.relation_types)},
+        lambda payload, tmp: parse_annotation_response("Here it is: " + payload.decode("utf-8", "replace")),
+        "RawAnnotation",
+        UnreadableResponseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CONTAINED_READERS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_outside_readers_raise_only_their_documented_error(tmp_path_factory, reader, data):
+    """A reader returns a value of its type or raises its documented error,
+    whatever field of its input is swapped for a hostile value."""
+    valid, read, result_type, error = CONTAINED_READERS[reader]
+    tmp = tmp_path_factory.mktemp("contained")
+    _assert_well_typed(read(json.dumps(valid).encode(), tmp), result_type)
+    payload = data.draw(hostile_payloads(valid))
+    try:
+        result = read(payload, tmp)
+    except error:
+        return
+    _assert_well_typed(result, result_type)

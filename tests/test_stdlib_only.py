@@ -1,10 +1,10 @@
 """The runtime is stdlib-only: every import in the package names a standard
 library module or the package itself. Threads and worker pools are made in
-one place, ``gateway.map_contained``. JSON is decoded at five listed sites:
-local files in ``core.decode_object``, model responses in
-``gateway.extract_json_block``, and the chat cache, completion bodies and
-embeddings bodies each in their one reader. The chat cache is read in one
-place, ``ChatGateway.complete``, so every chat call takes that one path."""
+one place, ``gateway.map_contained``. JSON is decoded at two sites: bytes
+from outside the program (local files, chat cache entries, completion and
+embeddings bodies) in ``core.decode_object``, and model responses in
+``gateway.extract_json_block``. The chat cache is read in one place,
+``ChatGateway.complete``, so every chat call takes that one path."""
 
 import ast
 import sys
@@ -93,13 +93,7 @@ def test_json_is_decoded_only_at_the_listed_sites():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites |= {(path.name, scope) for scope, call in _calls(tree) if _called_name(call) in DECODERS}
-    assert sorted(sites) == [
-        ("core.py", "decode_object"),
-        ("demostore.py", "ProviderEmbedder.embed"),
-        ("gateway.py", "ChatGateway._parse_completion"),
-        ("gateway.py", "ChatGateway._read_cache"),
-        ("gateway.py", "extract_json_block"),
-    ]
+    assert sorted(sites) == [("core.py", "decode_object"), ("gateway.py", "extract_json_block")]
 
 
 def test_chat_cache_is_read_only_in_complete():
