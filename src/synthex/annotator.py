@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 from .core import (
     AnnotationRecord,
-    Entity,
     Mention,
+    PartialAnnotation,
     SourceDocument,
-    Triple,
     derive_entity_types,
     derive_relation_types,
     normalize_surface,
+    read_layout,
 )
 from .gateway import (
     ChatGateway,
@@ -83,17 +83,6 @@ class VerificationReport:
 
     def kinds(self) -> set[str]:
         return {f.kind for f in self.errors}
-
-
-@dataclass(frozen=True)
-class RawAnnotation:
-    """Model output after JSON parsing, before rule-based verification."""
-
-    text_with_spans: str
-    entities: tuple[Entity, ...]
-    triples: tuple[Triple, ...]
-    relation_types: tuple[str, ...]
-    entity_types: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -261,78 +250,18 @@ def build_zero_shot_prompt(text: str) -> str:
 
 # --- response parsing ---------------------------------------------------------
 
-# Canonical key -> accepted aliases. The zero-shot format uses "triples" and
-# "text_with_spans"; completed inference prompts echo the demonstration layout
-# which calls the same fields "relations" / matches the release format.
-_KEY_ALIASES = {
-    "text_with_spans": ("text_with_spans", "annotated_text"),
-    "entities": ("entities",),
-    "triples": ("triples", "relations"),
-    "relation_types": ("relation_types",),
-    "entity_types": ("entity_types",),
-}
-
-
-def _lookup(data: dict, canonical: str):
-    for alias in _KEY_ALIASES[canonical]:
-        if alias in data:
-            return data[alias]
-    raise MissingKeyError(canonical)
-
-
-def _require(condition: bool, key: str):
-    if not condition:
-        raise MissingKeyError(key)
-
-
-def parse_annotation_response(response: str) -> RawAnnotation:
-    """Extract and shape-check the annotation JSON from a model response.
-
-    Raises an :class:`UnreadableResponseError`:
+def parse_annotation_response(response: str) -> PartialAnnotation:
+    """Extract the annotation JSON from a model response and read it with
+    :func:`core.read_layout`, strictly. Raises an :class:`UnreadableResponseError`:
     :class:`ResponseSyntaxError`/:class:`NoJsonFoundError` when no strict JSON
-    can be recovered and :class:`MissingKeyError` when the object lacks a
-    required key or an element is malformed.
-    """
+    can be recovered, and :class:`MissingKeyError` naming the failing path
+    when the object lacks a required key or holds a malformed value (a JSON
+    value that is no object lacks "text_with_spans")."""
     data = extract_json_block(response)
-    _require(isinstance(data, dict), "text_with_spans")
-
-    text_with_spans = _lookup(data, "text_with_spans")
-    _require(isinstance(text_with_spans, str), "text_with_spans")
-
-    raw_entities = _lookup(data, "entities")
-    _require(isinstance(raw_entities, list), "entities")
-    entities = []
-    for i, item in enumerate(raw_entities):
-        _require(isinstance(item, dict), f"entities[{i}]")
-        _require(isinstance(item.get("id"), int) and not isinstance(item.get("id"), bool), f"entities[{i}].id")
-        _require(isinstance(item.get("name"), str) and item["name"] != "", f"entities[{i}].name")
-        _require(isinstance(item.get("type"), str) and item["type"] != "", f"entities[{i}].type")
-        entities.append(Entity.from_dict(item))
-
-    raw_triples = _lookup(data, "triples")
-    _require(isinstance(raw_triples, list), "triples")
-    triples = []
-    for i, item in enumerate(raw_triples):
-        _require(isinstance(item, dict), f"triples[{i}]")
-        for key_name in ("description", "triple_string", "predicate"):
-            _require(isinstance(item.get(key_name), str), f"triples[{i}].{key_name}")
-        for key_name in ("subject", "object"):
-            value = item.get(key_name)
-            _require(isinstance(value, int) and not isinstance(value, bool), f"triples[{i}].{key_name}")
-        triples.append(Triple.from_dict(item))
-
-    relation_types = _lookup(data, "relation_types")
-    _require(isinstance(relation_types, list) and all(isinstance(x, str) for x in relation_types), "relation_types")
-    entity_types = _lookup(data, "entity_types")
-    _require(isinstance(entity_types, list) and all(isinstance(x, str) for x in entity_types), "entity_types")
-
-    return RawAnnotation(
-        text_with_spans=text_with_spans,
-        entities=tuple(entities),
-        triples=tuple(triples),
-        relation_types=tuple(relation_types),
-        entity_types=tuple(entity_types),
-    )
+    try:
+        return read_layout(data if isinstance(data, dict) else {}, strict=True)
+    except KeyError as exc:
+        raise MissingKeyError(exc.args[0]) from exc
 
 
 # --- verification --------------------------------------------------------------
@@ -353,7 +282,7 @@ def parse_triple_string(triple_string: str) -> tuple[str, str, str] | None:
     return a, b, c
 
 
-def verify_annotation(raw: RawAnnotation, source_text: str) -> VerificationReport:
+def verify_annotation(raw: PartialAnnotation, source_text: str) -> VerificationReport:
     """Run the full rule-based check battery and return every finding.
 
     In order: tag parse, echo against the source, per-entity span coverage,
@@ -423,7 +352,7 @@ def _parse_stage_report(exc: UnreadableResponseError) -> VerificationReport:
 
 
 def raw_to_record(
-    doc_id: str, source_text: str, raw: RawAnnotation, mentions: tuple[Mention, ...], provenance: dict
+    doc_id: str, source_text: str, raw: PartialAnnotation, mentions: tuple[Mention, ...], provenance: dict
 ) -> AnnotationRecord:
     """Convert a verified raw annotation, with the mentions its verification
     parsed, into the persistent record form.

@@ -5,8 +5,8 @@ with one record per line; the field layout follows the synthetic-data release
 format ("text", "annotated_text", "entities", "relations") with "mentions",
 "entity_types", "relation_types", "doc_id" and "provenance" as documented
 extensions. SourceDocument, Entity, Mention and Triple each carry their one
-JSON codec (``to_dict``/``from_dict``); every persisted layout and prompt
-block is built from those.
+JSON codec (``to_dict``/``from_dict``); every layout is built from those and
+read by ``read_layout``, whether a record, a prediction or a model response.
 """
 
 from __future__ import annotations
@@ -93,6 +93,16 @@ def checked(value, kind: type, name: str):
     return value
 
 
+def _field_type_error(rule: str, data: dict, **kinds: type) -> TypeError:
+    """The TypeError of an element codec whose type test failed on ``data``:
+    it states ``rule`` and names, as its ``field`` too, the first field
+    present that is not of its kind (a bool is no int)."""
+    field = next(f for f, k in kinds.items() if f in data and (type(data[f]) is bool or not isinstance(data[f], k)))
+    error = TypeError(f"{rule}; its {field} is {data[field]!r:.100}")
+    error.field = field
+    return error
+
+
 @dataclass(frozen=True)
 class Span:
     """Character offsets into an owning text: start inclusive, end exclusive.
@@ -123,7 +133,8 @@ class Entity:
     def from_dict(cls, data: dict) -> "Entity":
         entity_id, name, type_label = data["id"], data["name"], data["type"]
         if type(entity_id) is not int or not isinstance(name, str) or not isinstance(type_label, str):
-            raise TypeError(f"an entity is an integer id with a string name and type, not {data!r}")
+            rule = "an entity is an integer id with a string name and type"
+            raise _field_type_error(rule, data, id=int, name=str, type=str)
         return cls(id=entity_id, name=name, type_label=type_label)
 
 
@@ -153,7 +164,8 @@ class Mention:
             type(entity_id) is not int or type(start) is not int or type(end) is not int
             or not isinstance(surface, str) or not isinstance(type_label, str)
         ):
-            raise TypeError(f"a mention is integer entity_id, start and end, string surface and type, not {data!r}")
+            rule = "a mention is integer entity_id, start and end, string surface and type"
+            raise _field_type_error(rule, data, entity_id=int, start=int, end=int, surface=str, type=str)
         return cls(entity_id=entity_id, span=Span(start, end), surface=surface, type_label=type_label)
 
 
@@ -189,7 +201,9 @@ class Triple:
             type(subject) is not int or type(obj) is not int or not isinstance(predicate, str)
             or not isinstance(description, str) or not isinstance(triple_string, str)
         ):
-            raise TypeError(f"a triple is an integer subject and object with string predicate and texts, not {data!r}")
+            rule = "a triple is an integer subject and object with string predicate and texts"
+            kinds = {"description": str, "triple_string": str, "subject": int, "predicate": str, "object": int}
+            raise _field_type_error(rule, data, **kinds)
         return cls(description, triple_string, subject, predicate, obj)
 
 
@@ -276,41 +290,110 @@ def record_to_dict(record: AnnotationRecord) -> dict:
 
 
 def record_from_dict(data: dict, default_doc_id: str = "") -> AnnotationRecord:
-    """Rebuild a record from its JSON form.
-
-    Accepts bare release-format records: when "mentions" is absent they are
-    recovered by parsing the annotated text, and missing type inventories are
-    derived from the entities/relations themselves.
-    """
-    entities = tuple(map(Entity.from_dict, checked(data.get("entities", []), list, "entities")))
-    triples = tuple(map(Triple.from_dict, checked(data.get("relations", data.get("triples", [])), list, "relations")))
-    annotated_text = data.get("annotated_text", data.get("text_with_spans", ""))
-    text = data["text"]
-    if not isinstance(text, str) or not isinstance(annotated_text, str):
-        raise TypeError("text and annotated_text must be strings")
+    """Rebuild a record from its JSON form, read by :func:`read_layout`.
+    Absent "mentions" are recovered by parsing the annotated text, and an
+    omitted or empty type inventory is derived from the entities/triples."""
+    annotation = read_layout(data)
     if "mentions" in data:
-        mentions = tuple(map(Mention.from_dict, checked(data["mentions"], list, "mentions")))
+        mentions = read_elements(data, "mentions", Mention.from_dict)
     else:
         from .markup import parse_annotated
 
-        _, parsed = parse_annotated(annotated_text)
-        mentions = tuple(parsed)
-    entity_types = data.get("entity_types") or derive_entity_types(entities)
-    relation_types = data.get("relation_types") or derive_relation_types(triples)
-    for types in (entity_types, relation_types):
-        if not isinstance(types, (list, tuple)) or not all(isinstance(t, str) for t in types):
-            raise TypeError(f"entity_types and relation_types are lists of strings, not {types!r}")
+        mentions = tuple(parse_annotated(annotation.text_with_spans)[1])
     return AnnotationRecord(
         doc_id=decode_doc_id(data.get("doc_id", default_doc_id)),
-        text=text,
-        annotated_text=annotated_text,
-        entities=entities,
+        text=data["text"],
+        annotated_text=annotation.text_with_spans,
+        entities=annotation.entities,
         mentions=mentions,
-        triples=triples,
-        entity_types=tuple(entity_types),
-        relation_types=tuple(relation_types),
+        triples=annotation.triples,
+        entity_types=_read_types(data, "entity_types") or derive_entity_types(annotation.entities),
+        relation_types=_read_types(data, "relation_types") or derive_relation_types(annotation.triples),
         provenance=checked(data.get("provenance", {}), dict, "provenance"),
     )
+
+
+# --- the annotated-document layout -------------------------------------------
+
+@dataclass(frozen=True)
+class PartialAnnotation:
+    """The annotation one layout carries, as :func:`read_layout` reads it;
+    inference carries call 1's into the call-2 prompt."""
+
+    text: str = ""
+    text_with_spans: str = ""
+    entities: tuple[Entity, ...] = ()
+    triples: tuple[Triple, ...] = ()
+
+
+# The spellings of the layout's aliased keys, in the order a reader tries
+# them: model responses say "text_with_spans" and "triples", records and
+# prompt blocks "annotated_text" and "relations".
+LAYOUT_ALIASES = {"text_with_spans": ("text_with_spans", "annotated_text"), "triples": ("triples", "relations")}
+
+
+def _layout_value(data: dict, key: str, strict: bool, default):
+    for spelling in LAYOUT_ALIASES.get(key, (key,)):
+        if spelling in data:
+            return data[spelling]
+    if strict:
+        raise KeyError(key)
+    return default
+
+
+def read_layout(data: dict, strict: bool = False) -> PartialAnnotation:
+    """The annotation of ``data``, a JSON object in the annotated-document
+    layout, each key under its ``LAYOUT_ALIASES`` spellings.
+
+    Release (records, predictions): a key may be omitted and reads as empty;
+    a value of the wrong type is a TypeError, an element's naming its field.
+    Strict (model responses): every key but "text" is required, the type
+    inventories too, and every field of each element; entity names and
+    types are non-empty. A failure is a KeyError whose argument is its path,
+    such as ``entities[0].name``.
+    """
+    text, markup = data.get("text", ""), _layout_value(data, "text_with_spans", strict, "")
+    if not isinstance(text, str) or not isinstance(markup, str):
+        path = "text" if isinstance(markup, str) else "text_with_spans"
+        raise KeyError(path) if strict else TypeError("text and annotated_text must be strings")
+    entities = read_elements(data, "entities", Entity.from_dict, strict)
+    annotation = PartialAnnotation(text, markup, entities, read_elements(data, "triples", Triple.from_dict, strict))
+    if strict:
+        _read_types(data, "relation_types", strict)
+        _read_types(data, "entity_types", strict)
+    return annotation
+
+
+def read_elements(data: dict, key: str, decode, strict: bool = False) -> tuple:
+    """The list ``key`` of ``data``, each element through its codec
+    ``decode``; see :func:`read_layout` for ``strict``."""
+    items = _layout_value(data, key, strict, [])
+    if not strict:
+        return tuple(map(decode, checked(items, list, key)))
+    if not isinstance(items, list):
+        raise KeyError(key)
+    elements = []
+    for i, item in enumerate(items):
+        try:
+            element = decode(item)
+        except (KeyError, TypeError, AttributeError) as exc:  # an element that is no object names no field
+            field = exc.args[0] if isinstance(exc, KeyError) else getattr(exc, "field", None)
+            raise KeyError(f"{key}[{i}].{field}" if field else f"{key}[{i}]") from exc
+        for field, value in element.to_dict().items():
+            if field not in item or (value == "" and field in ("name", "type")):
+                raise KeyError(f"{key}[{i}].{field}")
+        elements.append(element)
+    return tuple(elements)
+
+
+def _read_types(data: dict, key: str, strict: bool = False) -> tuple[str, ...]:
+    """The type inventory ``key`` of ``data``, a list of strings; see
+    :func:`read_layout` for ``strict``."""
+    types = _layout_value(data, key, strict, [])
+    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        message = f"entity_types and relation_types are lists of strings, not {types!r:.100}"
+        raise KeyError(key) if strict else TypeError(message)
+    return tuple(types)
 
 
 @contextmanager

@@ -86,24 +86,31 @@ def _norm(values) -> float:
     return math.sqrt(_dot(values, values))
 
 
+class Embedding(list):
+    """A provider's embedding as floats, with the norm :func:`provider_vector` found."""
+
+    __slots__ = ("norm",)
+
+
 def _scorable_norm(vector) -> float:
     """The norm of a stored or query vector, which scoring divides by: it
     must be finite and positive. Tiny components can underflow it to 0.0,
-    and a NaN or infinite one leaves it undefined."""
-    norm = _norm(vector)
+    and a NaN or infinite one leaves it undefined. An :class:`Embedding`'s
+    norm is computed once."""
+    norm = getattr(vector, "norm", None) or _norm(vector)
     if not 0.0 < norm < math.inf:
         raise ZeroVectorError(f"vector norm {norm} is zero or not finite")
     return norm
 
 
-def provider_vector(value) -> list[float]:
+def provider_vector(value) -> Embedding:
     """A provider's embedding, from an embeddings body or an index file, as
     floats: a JSON list of numbers, booleans excluded, whose norm scoring can
     divide by."""
     if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise TypeError(f"an embedding is a list of numbers, not {value!r:.100}")
-    vector = [float(x) for x in value]
-    _scorable_norm(vector)
+    vector = Embedding(map(float, value))
+    vector.norm = _scorable_norm(vector)
     return vector
 
 

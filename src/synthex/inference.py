@@ -14,17 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .annotator import (
-    RawAnnotation,
-    fill_template,
-    parse_annotation_response,
-    truncate_text,
-    word_count,
-)
+from .annotator import fill_template, parse_annotation_response, truncate_text, word_count
 from .core import (
     AnnotationRecord,
     Entity,
     Mention,
+    PartialAnnotation,
     Schema,
     SourceDocument,
     Span,
@@ -32,6 +27,8 @@ from .core import (
     checked,
     decode_doc_id,
     normalize_surface,
+    read_elements,
+    read_layout,
     split_paragraphs,
 )
 from .demostore import DemoIndex, ExclusionList
@@ -50,16 +47,6 @@ class Prediction:
     valid: bool
     raw_responses: tuple[str, str]
     provenance: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class PartialAnnotation:
-    """Call-1 output carried into the call-2 prompt."""
-
-    text: str
-    text_with_spans: str
-    entities: tuple[Entity, ...]
-    triples: tuple[Triple, ...]
 
 
 INFERENCE_TEMPLATE = """Help me build a knowledge graph. I will provide a text and you annotate it.
@@ -83,6 +70,19 @@ please fix accordingly.
 Return the completed JSON, not just your changes."""
 
 
+def _prompt_block(text: str, types, markup: str, entities, triples) -> str:
+    """One JSON block of the in-context prompt, keys in the order shown;
+    ``types``, a schema or a record, gives the type inventories."""
+    return json.dumps({
+        "text": text,
+        "entity_types": list(types.entity_types),
+        "text_with_spans": markup,
+        "entities": [e.to_dict() for e in entities],
+        "relation_types": list(types.relation_types),
+        "relations": [t.to_dict() for t in triples],
+    }, indent=4, ensure_ascii=False)
+
+
 def build_inference_prompt(
     demo: AnnotationRecord,
     partial: PartialAnnotation | None,
@@ -96,25 +96,10 @@ def build_inference_prompt(
     the model extends rather than restarts.
     """
     schema.require_nonempty()
-    demo_block = {
-        "text": demo.text,
-        "entity_types": list(demo.entity_types),
-        "text_with_spans": demo.annotated_text,
-        "entities": [e.to_dict() for e in demo.entities],
-        "relation_types": list(demo.relation_types),
-        "relations": [t.to_dict() for t in demo.triples],
-    }
-    query_block = {
-        "text": query_text,
-        "entity_types": list(schema.entity_types),
-        "text_with_spans": partial.text_with_spans if partial else "",
-        "entities": [e.to_dict() for e in partial.entities] if partial else [],
-        "relation_types": list(schema.relation_types),
-        "relations": [t.to_dict() for t in partial.triples] if partial else [],
-    }
+    partial = partial or PartialAnnotation()
     return fill_template(INFERENCE_TEMPLATE, {
-        "demo_block": json.dumps(demo_block, indent=4, ensure_ascii=False),
-        "query_block": json.dumps(query_block, indent=4, ensure_ascii=False),
+        "demo_block": _prompt_block(demo.text, demo, demo.annotated_text, demo.entities, demo.triples),
+        "query_block": _prompt_block(query_text, schema, partial.text_with_spans, partial.entities, partial.triples),
     })
 
 
@@ -174,7 +159,7 @@ def _invalid(doc_id: str, responses: tuple[str, str], reason: str) -> Prediction
 
 
 def _prediction_from_raw(
-    doc: SourceDocument, raw: RawAnnotation, responses: tuple[str, str]
+    doc: SourceDocument, raw: PartialAnnotation, responses: tuple[str, str]
 ) -> Prediction:
     """Build a valid prediction, or an invalid one when the markup does not
     parse or the echo check fails."""
@@ -262,7 +247,10 @@ class InferencePipeline:
         fragment = first_fragment(doc)
         prompt_1 = build_inference_prompt(demo, None, fragment, schema)
         response_1 = self.gateway.complete(prompt_1, self.params)
-        partial = self._partial_from_response(fragment, response_1)
+        try:
+            partial = replace(parse_annotation_response(response_1), text=fragment)
+        except UnreadableResponseError:
+            partial = None  # call 1 is an aid, not a gate: call 2 starts from an empty annotation
 
         prompt_2 = build_inference_prompt(demo, partial, doc.text, schema)
         response_2 = self.gateway.complete(prompt_2, self.params)
@@ -276,16 +264,6 @@ class InferencePipeline:
             return prediction
         prediction = replace(prediction, provenance={**prediction.provenance, "demo_doc_id": demo.doc_id})
         return enforce_schema(prediction, schema)
-
-    @staticmethod
-    def _partial_from_response(fragment: str, response: str) -> PartialAnnotation | None:
-        """Call 1 is an aid, not a gate: any parse failure just means call 2
-        starts from an empty annotation."""
-        try:
-            raw = parse_annotation_response(response)
-        except UnreadableResponseError:
-            return None
-        return PartialAnnotation(fragment, raw.text_with_spans, raw.entities, raw.triples)
 
 
 # --- prediction persistence ----------------------------------------------------
@@ -308,11 +286,12 @@ def prediction_from_dict(data: dict) -> Prediction:
         raise TypeError(f"valid is true or false, not {valid!r}")
     if not isinstance(raw_responses, list) or [type(r) for r in raw_responses] != [str, str]:
         raise TypeError(f"raw_responses is a list of two strings, not {raw_responses!r:.100}")
+    annotation = read_layout(data)
     return Prediction(
         doc_id=decode_doc_id(data["doc_id"]),
-        entities=tuple(map(Entity.from_dict, checked(data.get("entities", []), list, "entities"))),
-        mentions=tuple(map(Mention.from_dict, checked(data.get("mentions", []), list, "mentions"))),
-        triples=tuple(map(Triple.from_dict, checked(data.get("triples", []), list, "triples"))),
+        entities=annotation.entities,
+        mentions=read_elements(data, "mentions", Mention.from_dict),
+        triples=annotation.triples,
         valid=valid,
         raw_responses=tuple(raw_responses),
         provenance=checked(data.get("provenance", {}), dict, "provenance"),

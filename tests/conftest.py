@@ -12,8 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from synthex.core import AnnotationRecord, Entity, Mention, Span, Triple, record_from_dict
-from synthex.annotator import RawAnnotation
+from synthex.core import AnnotationRecord, Entity, Mention, PartialAnnotation, Span, Triple, record_from_dict
 from synthex.gateway import ChatGateway, GenerationParams
 from synthex.markup import parse_annotated, render_annotated
 
@@ -90,14 +89,9 @@ def uni_vienna_record() -> AnnotationRecord:
     return record_from_dict(json.loads(json.dumps(UNI_VIENNA_DICT)), default_doc_id="uni-vienna")
 
 
-def raw_from_record(record: AnnotationRecord) -> RawAnnotation:
-    return RawAnnotation(
-        text_with_spans=record.annotated_text,
-        entities=record.entities,
-        triples=record.triples,
-        relation_types=record.relation_types,
-        entity_types=record.entity_types,
-    )
+def raw_from_record(record: AnnotationRecord) -> PartialAnnotation:
+    """The annotation a model response carrying ``record`` reads as."""
+    return PartialAnnotation(record.text, record.annotated_text, record.entities, record.triples)
 
 
 _FILLERS = (

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from synthex.annotator import (
     verify_annotation,
     word_count,
 )
-from synthex.core import AnnotationRecord, SourceDocument
+from synthex.core import LAYOUT_ALIASES, AnnotationRecord, SourceDocument, record_from_dict
 from synthex.gateway import CacheMissError, ResponseSyntaxError
 from synthex.markup import parse_annotated
 
@@ -202,6 +203,64 @@ class TestParseAnnotationResponse:
             parse_annotation_response(_response_from(payload))
 
 
+    def test_both_spellings_read_as_the_same_key(self, uni_vienna_dict):
+        # A layout carrying both spellings of each aliased key is read the
+        # same way as a response and as a record: the first spelling wins.
+        triples, relations = uni_vienna_dict["relations"][:1], uni_vienna_dict["relations"][1:]
+        plain = uni_vienna_dict["text"]
+        payload = {
+            "text": plain,
+            "text_with_spans": uni_vienna_dict["annotated_text"],
+            "annotated_text": plain,
+            "entities": uni_vienna_dict["entities"],
+            "triples": triples,
+            "relations": relations,
+            "relation_types": [],
+            "entity_types": [],
+        }
+        assert LAYOUT_ALIASES == {
+            "text_with_spans": ("text_with_spans", "annotated_text"), "triples": ("triples", "relations"),
+        }
+        raw = parse_annotation_response(_response_from(payload))
+        record = record_from_dict(payload)
+        assert raw.text_with_spans == record.annotated_text == uni_vienna_dict["annotated_text"]
+        assert [t.to_dict() for t in raw.triples] == [t.to_dict() for t in record.triples] == triples
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda p: p.pop("relation_types"), "relation_types"),
+        (lambda p: p.update(entity_types="T"), "entity_types"),
+        (lambda p: p.update(triples={}), "triples"),
+        (lambda p: p.update(text=5), "text"),
+        (lambda p: p.update(text_with_spans=None), "text_with_spans"),
+        (lambda p: p["entities"].append([0, "n", "T"]), "entities[1]"),
+        (lambda p: p["entities"][0].update(type=""), "entities[0].type"),
+        (lambda p: p["entities"][0].update(name=""), "entities[0].name"),
+        (lambda p: p["entities"][0].update(id=1.5), "entities[0].id"),
+        (lambda p: p["triples"].append(None), "triples[1]"),
+        (lambda p: p["triples"][0].pop("description"), "triples[0].description"),
+        (lambda p: p["triples"][0].pop("object"), "triples[0].object"),
+        (lambda p: p["triples"][0].update(subject=False), "triples[0].subject"),
+    ])
+    def test_refusal_names_the_failing_path(self, edit, path):
+        payload = {
+            "text_with_spans": '<ent id="0" type="T">x</ent>',
+            "entities": [{"id": 0, "name": "x", "type": "T"}],
+            "triples": [{"description": "", "triple_string": "(x, p, x)", "subject": 0, "predicate": "p", "object": 0}],
+            "relation_types": ["p"],
+            "entity_types": ["T"],
+        }
+        assert len(parse_annotation_response(_response_from(payload)).triples) == 1
+        edit(payload)
+        with pytest.raises(MissingKeyError) as err:
+            parse_annotation_response(_response_from(payload))
+        assert err.value.key == path
+
+    def test_json_value_that_is_no_object_lacks_the_markup(self):
+        with pytest.raises(MissingKeyError) as err:
+            parse_annotation_response("```json\n[1, 2]\n```")
+        assert err.value.key == "text_with_spans"
+
+
 class TestVerifyAnnotation:
     def test_sample_record_passes(self, uni_vienna_record):
         report = verify_annotation(raw_from_record(uni_vienna_record), uni_vienna_record.text)
@@ -217,13 +276,7 @@ class TestVerifyAnnotation:
     def test_altered_mention_detected(self, uni_vienna_record):
         raw = raw_from_record(uni_vienna_record)
         broken = raw.text_with_spans.replace(">scholars</ent>", ">schalors!</ent>")
-        raw = type(raw)(
-            text_with_spans=broken,
-            entities=raw.entities,
-            triples=raw.triples,
-            relation_types=raw.relation_types,
-            entity_types=raw.entity_types,
-        )
+        raw = replace(raw, text_with_spans=broken)
         report = verify_annotation(raw, uni_vienna_record.text)
         assert MENTION_NOT_IN_TEXT in report.kinds()
 
@@ -237,13 +290,7 @@ class TestVerifyAnnotation:
             predicate=bad_triple.predicate,
             object=99,
         )
-        raw = type(raw)(
-            text_with_spans=raw.text_with_spans,
-            entities=raw.entities,
-            triples=(bad,) + raw.triples[1:],
-            relation_types=raw.relation_types,
-            entity_types=raw.entity_types,
-        )
+        raw = replace(raw, triples=(bad,) + raw.triples[1:])
         report = verify_annotation(raw, uni_vienna_record.text)
         assert report.kinds() == {TRIPLE_ID_UNKNOWN}
 
@@ -251,7 +298,7 @@ class TestVerifyAnnotation:
         raw = raw_from_record(uni_vienna_record)
         t = raw.triples[0]
         bad = type(t)(t.description, "(a, b, c, d)", t.subject, t.predicate, t.object)
-        raw = type(raw)(raw.text_with_spans, raw.entities, (bad,) + raw.triples[1:], raw.relation_types, raw.entity_types)
+        raw = replace(raw, triples=(bad,) + raw.triples[1:])
         report = verify_annotation(raw, uni_vienna_record.text)
         assert report.kinds() == {TRIPLE_NAME_MISMATCH}
 
@@ -260,13 +307,7 @@ class TestVerifyAnnotation:
         extra_entity = type(raw.entities[0])(id=77, name="Ghost", type_label="Thing")
         t = raw.triples[0]
         bad_triple = type(t)(t.description, t.triple_string, t.subject, t.predicate, 99)
-        raw = type(raw)(
-            raw.text_with_spans,
-            raw.entities + (extra_entity,),
-            (bad_triple,) + raw.triples[1:],
-            raw.relation_types,
-            raw.entity_types,
-        )
+        raw = replace(raw, entities=raw.entities + (extra_entity,), triples=(bad_triple,) + raw.triples[1:])
         report = verify_annotation(raw, uni_vienna_record.text)
         assert report.kinds() == {MISSING_SPAN_ANNOTATION, TRIPLE_ID_UNKNOWN}
 

@@ -24,6 +24,7 @@ from conftest import (
     completed_inference_json,
     good_annotation_response,
     params_for,
+    request_prompts,
     trivial_record,
 )
 
@@ -221,6 +222,47 @@ class TestGenerate:
         assert err.startswith("gateway error: doc1: ")
         assert err.endswith("\n1 documents failed on gateway errors\n")
         assert [r.doc_id for r in load_records(out_dir / "annotations.jsonl")] == ["doc0"]
+
+    def test_interrupted_record_run_resumes_from_its_cache(self, tmp_path, monkeypatch, stub_server):
+        docs = [_corpus_doc(i) for i in range(4)]
+        corpus = tmp_path / "corpus.jsonl"
+        dump_jsonl(docs, corpus)
+        # doc0 and doc2 pass at once, doc1 on the rerun, doc3 on neither: six fetches.
+        for i, doc in enumerate(docs):
+            prompt, good = build_zero_shot_prompt(doc["text"]), good_annotation_response(doc["text"])
+            ChatStubHandler.replies[(prompt, 0.0)] = "no json here" if i % 2 else good
+            ChatStubHandler.replies[(prompt, 0.2)] = good if i == 1 else "still no json"
+
+        def generate(name):
+            run = tmp_path / name
+            run.mkdir(exist_ok=True)
+            config = _write_config(run, gateway_mode="record", chat_base_url=stub_server, cache_dir=str(run / "cache"))
+            args = ["generate", "--corpus", str(corpus), "--out-dir", str(run / "out"), "--parallelism", "1"]
+            return main([*args, "--config", str(config)])
+
+        assert generate("whole") == 0
+        whole = request_prompts()
+        assert len(whole) == 6
+        fetch, fetched = ChatGateway._call_endpoint, []
+
+        def stop_after_three_fetches(self, prompt, params):
+            if len(fetched) == 3:
+                raise KeyboardInterrupt
+            fetched.append(prompt)
+            return fetch(self, prompt, params)
+
+        monkeypatch.setattr(ChatGateway, "_call_endpoint", stop_after_three_fetches)
+        with pytest.raises(KeyboardInterrupt):
+            generate("resumed")
+        assert fetched == whole[:3]
+        assert not (tmp_path / "resumed" / "out" / "annotations.jsonl").exists()
+        monkeypatch.setattr(ChatGateway, "_call_endpoint", fetch)
+        assert generate("resumed") == 0
+        assert request_prompts()[9:] == whole[3:]  # the second run fetches only the rest
+        for name in ("annotations.jsonl", "failures.jsonl", "length_stats.csv"):
+            assert (tmp_path / "resumed/out" / name).read_bytes() == (tmp_path / "whole/out" / name).read_bytes()
+        caches = [{p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in ("whole/cache", "resumed/cache")]
+        assert caches[0] == caches[1] and len(caches[0]) == 6
 
     def test_manifest_ignores_deployment_settings(self, tmp_path):
         corpus = _write_generate_fixture(tmp_path, n_good=2)

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from synthex.core import (
+    Entity,
+    Mention,
     Schema,
+    Triple,
     atomic_writer,
     SourceDocument,
     Span,
@@ -149,6 +152,21 @@ class TestRecordPersistence:
         }
         assert set(data["mentions"][0]) == {"entity_id", "start", "end", "surface", "type"}
 
+    @pytest.mark.parametrize("inventory", ["", 0, False, {}, None, "Person", [1]])
+    def test_wrongly_typed_inventory_is_refused(self, inventory):
+        # A falsy value of the wrong type is refused, not replaced by the derived inventory.
+        data = {"text": "x", "annotated_text": "x", "entities": [{"id": 0, "name": "x", "type": "T"}]}
+        for key in ("entity_types", "relation_types"):
+            with pytest.raises(TypeError, match="entity_types and relation_types are lists of strings"):
+                record_from_dict({**data, key: inventory})
+        with pytest.raises(TypeError):
+            record_from_dict({**data, "entity_types": "", "relation_types": 0})
+
+    def test_omitted_or_empty_inventory_is_derived(self):
+        data = {"text": "x", "annotated_text": "x", "entities": [{"id": 0, "name": "x", "type": "T"}]}
+        assert record_from_dict(data).entity_types == ("T",)
+        assert record_from_dict({**data, "entity_types": []}).entity_types == ("T",)
+
     def test_duplicate_corpus_ids_rejected(self, tmp_path):
         from synthex.core import dump_jsonl, load_corpus
 
@@ -187,3 +205,25 @@ class TestAtomicWriter:
             first.write("first")
             second.write("second")
         assert target.read_text(encoding="utf-8") == "first"
+
+
+class TestElementCodecs:
+    @pytest.mark.parametrize("codec, data, field", [
+        (Entity.from_dict, {"id": 0, "name": 5, "type": "T"}, "name"),
+        (Entity.from_dict, {"id": True, "name": "n", "type": "T"}, "id"),
+        (Entity.from_dict, {"id": 0, "name": "n", "type": None}, "type"),
+        (Mention.from_dict, {"entity_id": 0, "start": 0, "end": 1.0, "surface": "a", "type": "T"}, "end"),
+        (Mention.from_dict, {"entity_id": 0, "start": 0, "end": 1, "surface": "a", "type": 3}, "type"),
+        (Triple.from_dict, {"description": 1, "subject": 0, "predicate": "p", "object": 1}, "description"),
+        (Triple.from_dict, {"subject": 0, "predicate": ["p"], "object": 1}, "predicate"),
+        (Triple.from_dict, {"subject": 0, "predicate": "p", "object": "1"}, "object"),
+    ])
+    def test_type_error_names_the_failing_field(self, codec, data, field):
+        with pytest.raises(TypeError) as err:
+            codec(data)
+        assert err.value.field == field
+        assert f"; its {field} is {data[field]!r}" in str(err.value)
+
+    def test_missing_field_is_a_key_error_naming_it(self):
+        with pytest.raises(KeyError, match="'name'"):
+            Entity.from_dict({"id": 0, "type": "T"})

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from synthex import demostore
 from synthex.annotator import truncate_text
 from synthex.cli import main
 from synthex.core import save_records
@@ -327,6 +328,22 @@ class TestBuildIndex:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"version": 3, "mode": mode, "min_words": 5}
         assert [json.loads(line)["record"]["doc_id"] for line in lines[1:]] == [r.doc_id for r in records]
+
+    def test_provider_norms_are_computed_once_per_entry(self, tmp_path, monkeypatch):
+        records = _corpus(5, random.Random(9))
+        stored = [[1.0, 0.5], [0.5, 1.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]]
+        bodies = iter(json.dumps({"data": [{"embedding": vector}]}).encode() for vector in stored)
+        monkeypatch.setattr("synthex.demostore.post_json", lambda *args, **kwargs: next(bodies))
+        passes = []
+        norm = demostore._norm
+        monkeypatch.setattr("synthex.demostore._norm", lambda values: passes.append(len(values)) or norm(values))
+        index = build_index(records, mode="provider", embedder=ProviderEmbedder("", "emb"), min_words=5)
+        assert passes == [2] * len(records)
+        index.save(tmp_path / "index.json")
+        del passes[:]
+        loaded = DemoIndex.load(tmp_path / "index.json")
+        assert passes == [2] * len(records)
+        assert loaded._norms == index._norms == [math.sqrt(sum(x * x for x in vector)) for vector in stored]
 
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_other_versions_rejected(self, tmp_path, version):

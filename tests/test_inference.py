@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from synthex.annotator import RawAnnotation, truncate_text, word_count
+from synthex.annotator import truncate_text, word_count
 from synthex.core import Entity, Schema, SourceDocument, Triple
 from synthex.demostore import build_index
 from synthex.inference import (
@@ -369,7 +369,7 @@ class TestReanchorMentions:
             '<ent id="0" type="City">New\nYork</ent> is big. '
             'I love <ent id="0" type="City">New\nYork</ent>.'
         )
-        raw = RawAnnotation(echo, (Entity(0, "New York", "City"),), (), (), ("City",))
+        raw = PartialAnnotation(doc.text, echo, (Entity(0, "New York", "City"),))
         prediction = _prediction_from_raw(doc, raw, ("", ""))
         assert prediction.valid
         assert [(m.span.start, m.span.end) for m in prediction.mentions] == [(24, 32)]

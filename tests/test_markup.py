@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from synthex.annotator import ECHO_MISMATCH, TAG_PARSE_ERROR, RawAnnotation, verify_annotation
-from synthex.core import Mention, Span
+from synthex.annotator import ECHO_MISMATCH, TAG_PARSE_ERROR, verify_annotation
+from synthex.core import Mention, PartialAnnotation, Span
 from synthex.markup import (
     EmptyMentionError,
     MalformedAttributesError,
@@ -147,7 +147,7 @@ class TestRoundTrip:
 
 def _echo_findings(original: str, annotated: str) -> dict:
     """Echo-stage findings of the verification battery, by kind."""
-    raw = RawAnnotation(annotated, entities=(), triples=(), relation_types=(), entity_types=())
+    raw = PartialAnnotation(text_with_spans=annotated)
     return {f.kind: f.context for f in verify_annotation(raw, original).errors}
 
 

@@ -1,7 +1,8 @@
 """Property tests: every JSON codec round-trips its type exactly, through the
-persisted JSON text; rendering then parsing inline markup is lossless or
-refused; sentence splitting, truncation, mention re-anchoring and JSON
-extraction keep their invariants on adversarial text; the sentence scanner
+persisted JSON text; a model response and a record of one layout read the
+same; rendering then parsing inline markup is lossless or refused; sentence
+splitting, truncation, mention re-anchoring and JSON extraction keep their
+invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
 brace-scanner reference, and the fallback index, built or loaded, with a
 reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
@@ -178,6 +179,35 @@ def test_markup_render_refuses_or_round_trips(case):
     except MarkupError:
         return
     assert parse_annotated(rendered) == (text, found)
+
+
+# What a model response must carry: non-empty entity names and types.
+response_entities = st.builds(
+    Entity, id=ids, name=st.text(min_size=1, max_size=30), type_label=st.text(min_size=1, max_size=30)
+)
+
+
+@st.composite
+def layouts(draw):
+    """A valid annotated-document layout, under either spelling of each
+    aliased key, with the markup of rendered mentions."""
+    text, found = draw(annotated())
+    return {
+        "text": text,
+        draw(st.sampled_from(["text_with_spans", "annotated_text"])): render_annotated(text, found),
+        "entities": [e.to_dict() for e in draw(st.lists(response_entities, max_size=4))],
+        draw(st.sampled_from(["triples", "relations"])): [t.to_dict() for t in draw(st.lists(triples, max_size=4))],
+        "relation_types": draw(st.lists(texts, max_size=3)),
+        "entity_types": draw(st.lists(texts, max_size=3)),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(layouts())
+def test_response_and_record_readers_agree(layout):
+    raw = parse_annotation_response(json.dumps(layout, ensure_ascii=False))
+    record = record_from_dict(through_json(layout))
+    assert (raw.text_with_spans, raw.entities, raw.triples) == (record.annotated_text, record.entities, record.triples)
 
 
 # Words, sentence terminators, abbreviations and assorted whitespace,
@@ -757,7 +787,7 @@ CONTAINED_READERS = {
          "entity_types": list(CONTAINED_RECORD.entity_types),
          "relation_types": list(CONTAINED_RECORD.relation_types)},
         lambda payload, tmp: parse_annotation_response("Here it is: " + payload.decode("utf-8", "replace")),
-        "RawAnnotation",
+        "PartialAnnotation",
         UnreadableResponseError,
     ),
 }

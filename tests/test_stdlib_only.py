@@ -4,7 +4,8 @@ one place, ``gateway.map_contained``. JSON is decoded at two sites: bytes
 from outside the program (local files, chat cache entries, completion and
 embeddings bodies) in ``core.decode_object``, and model responses in
 ``gateway.extract_json_block``. The chat cache is read in one place,
-``ChatGateway.complete``, so every chat call takes that one path."""
+``ChatGateway.complete``, so every chat call takes that one path. Only
+``core`` reads the aliased keys of the annotated-document layout."""
 
 import ast
 import sys
@@ -102,3 +103,36 @@ def test_chat_cache_is_read_only_in_complete():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "_read_cache"]
     assert sites == [("gateway.py", "ChatGateway.complete")]
+
+
+ALIASED_KEYS = {"relations", "triples", "annotated_text", "text_with_spans"}
+
+
+def _aliased_key_reads(tree: ast.AST):
+    """``(line, key)`` for each read of an aliased layout key by subscript,
+    ``.get`` or ``in``; writing one as a dict-literal key is no read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            keys = [node.slice]
+        elif isinstance(node, ast.Call) and _called_name(node) == "get":
+            keys = node.args[:1]
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            keys = [node.left]
+        else:
+            continue
+        for key in keys:
+            if isinstance(key, ast.Constant) and key.value in ALIASED_KEYS:
+                yield node.lineno, key.value
+
+
+def test_only_core_reads_the_aliased_layout_keys():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [f"{path.name}:{line}: {key}" for line, key in _aliased_key_reads(tree) if path.name != "core.py"]
+    assert sites == []
+
+
+def test_aliased_key_reads_are_found():
+    source = 'a = d["relations"]\nb = d.get("triples", [])\nc = "annotated_text" in d\nd = {"text_with_spans": 1}\n'
+    assert list(_aliased_key_reads(ast.parse(source))) == [(1, "relations"), (2, "triples"), (3, "annotated_text")]
