@@ -2,13 +2,15 @@
 
 One subcommand per stage — ingest, generate, postprocess, stats, index,
 infer, eval — so any stage can be rerun in isolation. Each command takes only
-the flags it reads. ingest, generate, postprocess, index and infer write a
-run manifest (input/output content hashes plus a hash of the config fields
-that command reads and that can change its artifacts, so no endpoint, cache
-path or parallelism) next to their outputs; with a populated replay cache,
-identical manifests mean identical artifacts. Credentials travel only
-through environment variables, never flags, so they stay out of shell
-history and manifests.
+the flags it reads and does only its own work. One that writes artifacts
+returns the inputs it read, the outputs it wrote and the ``(doc_id, error)``
+of each document lost to a failed model call; ``main`` then writes the run
+manifest (input/output content hashes plus a hash of the config fields that
+command reads and that can change its artifacts, so no endpoint, cache path
+or parallelism) beside the first output and reports the lost documents. With
+a populated replay cache, identical manifests mean identical artifacts.
+Credentials travel only through environment variables, never flags, so they
+stay out of shell history and manifests.
 """
 
 from __future__ import annotations
@@ -221,14 +223,6 @@ def write_manifest(directory: str | Path, command: str, config: RunConfig, input
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _report_gateway_errors(failed: list[tuple]):
-    """One stderr line per ``(doc_id, error)`` lost to a failed model call, then the count."""
-    for doc_id, error in failed:
-        print(f"gateway error: {doc_id}: {error}", file=sys.stderr)
-    if failed:
-        print(f"{len(failed)} documents failed on gateway errors", file=sys.stderr)
-
-
 def _write_json(data, path: str | Path):
     """Indented JSON plus a final newline, written atomically."""
     with atomic_writer(path) as fh:
@@ -237,7 +231,7 @@ def _write_json(data, path: str | Path):
 
 # --- commands ------------------------------------------------------------------
 
-def cmd_ingest(args, config: RunConfig) -> int:
+def cmd_ingest(args, config: RunConfig):
     source = Path(args.input)
     docs: list[SourceDocument] = []
     if source.is_dir():
@@ -250,13 +244,19 @@ def cmd_ingest(args, config: RunConfig) -> int:
     if not docs:
         raise SynthexError("empty corpus")
     dump_jsonl((d.to_dict() for d in docs), args.output)
-    out_dir = Path(args.output).parent
-    write_manifest(out_dir, "ingest", config, [source] if source.is_file() else [], [args.output])
     print(f"ingested {len(docs)} documents -> {args.output}")
-    return 0
+    return ([source] if source.is_file() else []), [args.output], []
 
 
-def cmd_generate(args, config: RunConfig) -> int:
+def _map_documents(fn, docs: list[SourceDocument], workers: int) -> tuple[list, list[tuple]]:
+    """``fn`` over ``docs`` on ``map_contained``'s pool: the results in input
+    order, and ``(doc_id, error)`` for each document lost to a failed model call."""
+    results = map_contained(fn, docs, workers)
+    lost = [(doc.id, error) for doc, (_, error) in zip(docs, results) if error is not None]
+    return [result for result, error in results if error is None], lost
+
+
+def cmd_generate(args, config: RunConfig):
     corpus = load_corpus(args.corpus)
     if not corpus:
         raise SynthexError("empty corpus")
@@ -267,8 +267,7 @@ def cmd_generate(args, config: RunConfig) -> int:
         min_words=config.min_words,
         max_tokens=config.max_tokens,
     )
-    results = map_contained(annotator.annotate, corpus, config.workers())
-    outcomes = [outcome for outcome, _ in results if outcome is not None]
+    outcomes, lost = _map_documents(annotator.annotate, corpus, config.workers())
     records = [o for o in outcomes if isinstance(o, AnnotationRecord)]
     failures = [o for o in outcomes if isinstance(o, FailureRecord)]
 
@@ -280,11 +279,8 @@ def cmd_generate(args, config: RunConfig) -> int:
     save_records(records, annotations_path)
     dump_jsonl((failure_to_dict(f) for f in failures), failures_path)
     _write_length_stats(outcomes, stats_path)
-    write_manifest(out_dir, "generate", config, [args.corpus], [annotations_path, failures_path, stats_path])
-
     print(f"annotated {len(records)}/{len(outcomes)} documents, yield {percent_yield(len(records), len(failures)):.2f}%")
-    _report_gateway_errors([(doc.id, error) for doc, (_, error) in zip(corpus, results) if error is not None])
-    return 0
+    return [args.corpus], [annotations_path, failures_path, stats_path], lost
 
 
 def _write_length_stats(outcomes, path: Path):
@@ -298,7 +294,7 @@ def _write_length_stats(outcomes, path: Path):
             )
 
 
-def cmd_postprocess(args, config: RunConfig) -> int:
+def cmd_postprocess(args, config: RunConfig):
     records = load_records(args.annotations)
     gateway = config.make_gateway()
     processor = PostProcessor(gateway, model_name=config.model_name, max_tokens=config.max_tokens)
@@ -309,14 +305,13 @@ def cmd_postprocess(args, config: RunConfig) -> int:
     drops_path = out_dir / "drops.jsonl"
     save_records(kept, kept_path)
     dump_jsonl((entry.to_dict() for entry in drop_log), drops_path)
-    write_manifest(out_dir, "postprocess", config, [args.annotations], [kept_path, drops_path])
     dropped_docs = len(records) - len(kept)
     print(f"kept {len(kept)}/{len(records)} documents ({dropped_docs} dropped, {len(drop_log)} log entries)")
-    _report_gateway_errors([(e.doc_id, e.reason["error"]) for e in drop_log if e.stage == STAGE_GATEWAY_ERROR])
-    return 0
+    lost = [(e.doc_id, e.reason["error"]) for e in drop_log if e.stage == STAGE_GATEWAY_ERROR]
+    return [args.annotations], [kept_path, drops_path], lost
 
 
-def cmd_stats(args, config: RunConfig) -> int:
+def cmd_stats(args, config: RunConfig):
     records = load_records(args.dataset)
     failure_count = None
     if args.failures:
@@ -339,10 +334,9 @@ def cmd_stats(args, config: RunConfig) -> int:
         print("top relation types:")
         for name, count in stats.top_relation_types:
             print(f"  {count:>6}  {name}")
-    return 0
 
 
-def cmd_index(args, config: RunConfig) -> int:
+def cmd_index(args, config: RunConfig):
     records = load_records(args.dataset)
     embedder = config.make_embedder(config.embedding_mode)
     index = build_index(
@@ -353,9 +347,8 @@ def cmd_index(args, config: RunConfig) -> int:
         parallelism=config.workers(embedder),
     )
     index.save(args.output)
-    write_manifest(Path(args.output).parent, "index", config, [args.dataset], [args.output])
     print(f"indexed {len(index)} demonstrations (mode={index.mode}, dim={index.dim}) -> {args.output}")
-    return 0
+    return [args.dataset], [args.output], []
 
 
 def _read_task(data: dict) -> tuple[Schema, list[SourceDocument]]:
@@ -375,7 +368,7 @@ def _read_task(data: dict) -> tuple[Schema, list[SourceDocument]]:
     return schema, docs
 
 
-def cmd_infer(args, config: RunConfig) -> int:
+def cmd_infer(args, config: RunConfig):
     schema, docs = load_json(args.task, _read_task)
     index = DemoIndex.load(args.index)
     exclusions = ExclusionList.from_file(args.exclusions) if args.exclusions else None
@@ -388,17 +381,14 @@ def cmd_infer(args, config: RunConfig) -> int:
         embedder=embedder,
         max_tokens=config.max_tokens,
     )
-    results = map_contained(lambda doc: pipeline.infer(doc, schema), docs, config.workers(embedder))
-    predictions = [prediction for prediction, _ in results if prediction is not None]
+    predictions, lost = _map_documents(lambda doc: pipeline.infer(doc, schema), docs, config.workers(embedder))
     dump_jsonl((prediction_to_dict(p) for p in predictions), args.output)
-    write_manifest(Path(args.output).parent, "infer", config, [args.task, args.index], [args.output])
     valid = sum(1 for p in predictions if p.valid)
     print(f"inferred {len(predictions)} documents, {valid} valid outputs")
-    _report_gateway_errors([(doc.id, error) for doc, (_, error) in zip(docs, results) if error is not None])
-    return 0
+    return [args.task, args.index], [args.output], lost
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args, config: RunConfig):
     predictions = load_jsonl(args.predictions, lambda data, _: prediction_from_dict(data))
     if not predictions:
         raise SynthexError("no predictions to evaluate")
@@ -410,7 +400,6 @@ def cmd_eval(args, config: RunConfig) -> int:
         print()
     if args.output:
         _write_json({report.mode: report.to_dict() for report in reports}, args.output)
-    return 0
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -502,10 +491,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig.load(args.config)
         config.apply_flags(args)
-        return args.func(args, config)
+        written = args.func(args, config)
+        if written is not None:
+            inputs, outputs, lost = written
+            write_manifest(Path(outputs[0]).parent, args.command, config, inputs, outputs)
+            for doc_id, error in lost:
+                print(f"gateway error: {doc_id}: {error}", file=sys.stderr)
+            if lost:
+                print(f"{len(lost)} documents failed on gateway errors", file=sys.stderr)
     except (SynthexError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

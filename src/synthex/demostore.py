@@ -128,8 +128,6 @@ def cosine(u: list[float], v: list[float]) -> float:
 class FallbackEmbedder:
     """Term-frequency vectors over a fixed vocabulary, L2-normalized."""
 
-    mode = "fallback"
-
     def __init__(self, vocabulary: list[str]):
         self.vocabulary = list(vocabulary)
         self._positions = {token: i for i, token in enumerate(self.vocabulary)}
@@ -171,8 +169,6 @@ class ProviderEmbedder:
     """Client for an HTTP embeddings endpoint, under the chat gateway's retry
     policy."""
 
-    mode = "provider"
-
     def __init__(self, base_url: str, model_name: str, api_key: str = ""):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
@@ -193,27 +189,13 @@ class ProviderEmbedder:
             raise ProviderError(f"embeddings endpoint failed: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ExclusionList:
+class ExclusionList(frozenset):
     """Doc ids withheld from retrieval, e.g. to avoid test-set contamination."""
-
-    doc_ids: frozenset[str]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExclusionList":
-        ids = set()
-        for line in read_text(path).splitlines():
-            line = line.strip()
-            if line:
-                ids.add(line)
-        return cls(frozenset(ids))
-
-    @classmethod
-    def empty(cls) -> "ExclusionList":
-        return cls(frozenset())
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.doc_ids
+        """The non-blank lines of a text file, stripped."""
+        return cls(filter(None, map(str.strip, read_text(path).splitlines())))
 
 
 @dataclass(frozen=True)
@@ -348,7 +330,7 @@ class DemoIndex:
         ascending doc id so retrieval is fully deterministic; entries sharing
         no token with a fallback query score 0.0.
         """
-        exclusions = exclusions or ExclusionList.empty()
+        exclusions = exclusions or frozenset()
         candidates = [(i, e) for i, e in enumerate(self.entries) if e.doc_id not in exclusions]
         if not candidates:
             raise EmptyIndexError("no index entries remain after exclusions")
@@ -404,6 +386,8 @@ class DemoIndex:
             chars = data["truncated_chars"]
             if isinstance(chars, bool) or not isinstance(chars, int):
                 raise TypeError(f"truncated_chars must be an integer, not {chars!r}")
+            if not 1 <= chars <= len(record.text):
+                raise ValueError(f"truncated_chars must be in 1..{len(record.text)}, not {chars}")
             vector = provider_vector(data["vector"]) if header["mode"] == "provider" else None
             return record, record.text[:chars], vector
 

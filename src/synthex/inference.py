@@ -235,7 +235,7 @@ class InferencePipeline:
     ):
         self.gateway = gateway
         self.index = index
-        self.exclusions = exclusions or ExclusionList.empty()
+        self.exclusions = exclusions or frozenset()
         self.embedder = embedder
         # Both calls run at temperature 0 and there is no retry: validity
         # rates are a headline metric and silent retries would distort them.

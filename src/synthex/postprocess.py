@@ -21,7 +21,9 @@ from .core import (
     derive_relation_types,
     normalize_surface,
 )
-from .gateway import ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed, map_contained
+from .gateway import (
+    VERDICTS, ChatGateway, GatewayError, GenerationParams, NoVerdictError, extract_boxed, map_contained,
+)
 
 KEEP = "keep"
 INCONSISTENT = "inconsistent"
@@ -47,7 +49,7 @@ class TripleVerdict:
     verdict: str | None  # A/B/C/D, or None when no verdict could be parsed
 
     def __post_init__(self):
-        if self.verdict is not None and self.verdict not in ("A", "B", "C", "D"):
+        if self.verdict is not None and self.verdict not in VERDICTS:
             raise ValueError(f"invalid verdict {self.verdict!r}")
 
 

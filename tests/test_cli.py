@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import shutil
 import threading
@@ -10,7 +12,7 @@ import pytest
 from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
 from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, record_to_dict, save_records
-from synthex.demostore import FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
+from synthex.demostore import DemoIndex, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import InferencePipeline, Prediction, build_inference_prompt, prediction_to_dict
 from synthex.postprocess import build_triple_verification_prompt
@@ -760,6 +762,70 @@ EXPECTED_FLAGS = {
 }
 
 
+class TestManifests:
+    def test_each_artifact_command_writes_one_beside_its_first_output(self, tmp_path):
+        """ingest -> generate -> postprocess -> stats -> index -> infer -> eval
+        over a replay cache: the five commands that write artifacts leave one
+        manifest each, stats and eval none, and a lost document is reported
+        after the summary line."""
+        corpus = _write_generate_fixture(tmp_path, n_good=2, n_fail=1)
+        with corpus.open("a", encoding="utf-8") as fh:  # no cached response, so lost to a gateway error
+            fh.write(json.dumps(_corpus_doc(9)) + "\n")
+        config = ["--config", str(_write_config(tmp_path))]
+        ingested = tmp_path / "ingest" / "corpus.jsonl"
+        ingested.parent.mkdir()
+        assert main(["ingest", "--input", str(corpus), "--output", str(ingested)]) == 0
+
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            generate = ["generate", "--corpus", str(ingested), "--out-dir", str(tmp_path / "generate")]
+            assert main(generate + config) == 0
+        lines = printed.getvalue().splitlines()
+        assert lines[0] == "annotated 2/3 documents, yield 66.67%"
+        assert lines[1].startswith("gateway error: doc9: no cached response")
+        assert lines[2:] == ["1 documents failed on gateway errors"]
+
+        annotations = tmp_path / "generate" / "annotations.jsonl"
+        post = ["postprocess", "--annotations", str(annotations), "--out-dir", str(tmp_path / "post")]
+        assert main(post + config) == 0
+        kept = tmp_path / "post" / "kept.jsonl"
+        (tmp_path / "stats").mkdir()
+        assert main(["stats", "--dataset", str(kept), "--output", str(tmp_path / "stats" / "stats.json")]) == 0
+        index = tmp_path / "index" / "index.json"
+        index.parent.mkdir()
+        assert main(["index", "--dataset", str(kept), "--output", str(index)]) == 0
+
+        demo = DemoIndex.load(index).retrieve(QUERY_TEXT)[0]
+        _seed(tmp_path, build_inference_prompt(demo, None, QUERY_TEXT.split("\n")[0], SCHEMA), 0.0, "no reply")
+        _seed(tmp_path, build_inference_prompt(demo, None, QUERY_TEXT, SCHEMA), 0.0,
+              completed_inference_json(QUERY_TEXT, QUERY_ANNOTATED, QUERY_ENTITIES, QUERY_RELATIONS, SCHEMA))
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({
+            "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
+            "documents": [{"id": "q1", "text": QUERY_TEXT}],
+        }), encoding="utf-8")
+        predictions = tmp_path / "infer" / "predictions.jsonl"
+        predictions.parent.mkdir()
+        assert main(["infer", "--task", str(task), "--index", str(index), "--output", str(predictions)] + config) == 0
+        gold = tmp_path / "gold.jsonl"
+        dump_jsonl([{"doc_id": "q1", "text": QUERY_TEXT, "annotated_text": QUERY_ANNOTATED,
+                     "entities": QUERY_ENTITIES, "relations": QUERY_RELATIONS}], gold)
+        (tmp_path / "eval").mkdir()
+        report = tmp_path / "eval" / "report.json"
+        assert main(["eval", "--predictions", str(predictions), "--gold", str(gold), "--output", str(report)]) == 0
+
+        first_outputs = {
+            "ingest": ingested, "generate": annotations, "postprocess": kept, "index": index, "infer": predictions,
+        }
+        assert sorted(tmp_path.rglob("*.manifest.json")) == sorted(
+            path.parent / f"{command}.manifest.json" for command, path in first_outputs.items()
+        )
+        for command, path in first_outputs.items():
+            manifest = json.loads((path.parent / f"{command}.manifest.json").read_text(encoding="utf-8"))
+            assert manifest["command"] == command
+            assert str(path) in manifest["outputs"]
+
+
 class TestWorkerChoice:
     def test_record_run_uses_the_pool_and_matches_replay(self, tmp_path, stub_server):
         corpus = _write_generate_fixture(tmp_path, n_good=6, n_retry=1, n_fail=1)
@@ -998,6 +1064,9 @@ class TestMalformedLocalInputs:
 HEADER_LINE = json.dumps({"version": 3, "mode": "fallback", "min_words": 100})
 
 
+CHARS_RANGE = f"truncated_chars must be in 1..{len(UNI_VIENNA_DICT['text'])}"
+
+
 class TestMalformedIndexFiles:
     """An index file whose header line is not an object, that holds no entry
     line, or that holds an entry or header field of the wrong shape is
@@ -1025,6 +1094,10 @@ class TestMalformedIndexFiles:
         (lambda header, entry: entry["record"].update(text=5),
          "line 2: TypeError: text and annotated_text must be strings"),
         (lambda header, entry: entry.update(truncated_chars="40"), "line 2: TypeError: truncated_chars"),
+        (lambda header, entry: entry.update(truncated_chars=-3), f"line 2: ValueError: {CHARS_RANGE}, not -3"),
+        (lambda header, entry: entry.update(truncated_chars=0), f"line 2: ValueError: {CHARS_RANGE}, not 0"),
+        (lambda header, entry: entry.update(truncated_chars=len(entry["record"]["text"]) + 1),
+         f"line 2: ValueError: {CHARS_RANGE}, not {len(UNI_VIENNA_DICT['text']) + 1}"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": ["a"]}],
          "line 2: TypeError: an embedding is a list of numbers, not ['a']"),
         (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": "12"}],
@@ -1039,8 +1112,9 @@ class TestMalformedIndexFiles:
          "line 1: ValueError: an index file's mode is one of"),
         (lambda header, entry: header.update(min_words="x"),
          "line 1: ValueError: an index file's min_words is a positive integer, not 'x'"),
-    ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "vector-item-type",
-            "vector-string", "vector-bools", "vector-item-range", "vector-nan", "no-mode", "min-words-type"])
+    ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "negative", "zero", "past-end",
+            "vector-item-type", "vector-string", "vector-bools", "vector-item-range", "vector-nan", "no-mode",
+            "min-words-type"])
     def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "index.json"

@@ -5,7 +5,8 @@ from outside the program (local files, chat cache entries, completion and
 embeddings bodies) in ``core.decode_object``, and model responses in
 ``gateway.extract_json_block``. The chat cache is read in one place,
 ``ChatGateway.complete``, so every chat call takes that one path. Only
-``core`` reads the aliased keys of the annotated-document layout."""
+``core`` reads the aliased keys of the annotated-document layout. Run
+manifests are written in one place, ``cli.main``, for every command."""
 
 import ast
 import sys
@@ -103,6 +104,14 @@ def test_chat_cache_is_read_only_in_complete():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "_read_cache"]
     assert sites == [("gateway.py", "ChatGateway.complete")]
+
+
+def test_manifests_are_written_only_in_main():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "write_manifest"]
+    assert sites == [("cli.py", "main")]
 
 
 ALIASED_KEYS = {"relations", "triples", "annotated_text", "text_with_spans"}
