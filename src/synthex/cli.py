@@ -3,14 +3,14 @@
 One subcommand per stage — ingest, generate, postprocess, stats, index,
 infer, eval — so any stage can be rerun in isolation. Each command takes only
 the flags it reads and does only its own work. One that writes artifacts
-returns the inputs it read, the outputs it wrote and the ``(doc_id, error)``
-of each document lost to a failed model call; ``main`` then writes the run
-manifest (input/output content hashes plus a hash of the config fields that
-command reads and that can change its artifacts, so no endpoint, cache path
-or parallelism) beside the first output and reports the lost documents. With
-a populated replay cache, identical manifests mean identical artifacts.
-Credentials travel only through environment variables, never flags, so they
-stay out of shell history and manifests.
+returns every file it read (its inputs), the outputs it wrote and the
+``(doc_id, error)`` of each document lost to a failed model call. ``main``
+then writes the run manifest (input/output content hashes plus a hash of the
+config fields that command reads and that can change its artifacts, so no
+endpoint, cache path or parallelism) beside the first output and reports the
+lost documents. With a populated replay cache, identical manifests mean
+identical artifacts. Credentials travel only through environment variables,
+never flags, so they stay out of shell history and manifests.
 """
 
 from __future__ import annotations
@@ -233,19 +233,17 @@ def _write_json(data, path: str | Path):
 
 def cmd_ingest(args, config: RunConfig):
     source = Path(args.input)
-    docs: list[SourceDocument] = []
     if source.is_dir():
-        for txt in sorted(source.glob("*.txt")):
-            text = read_text(txt)
-            if text.strip():
-                docs.append(SourceDocument(id=txt.stem, text=text, title=txt.stem))
+        inputs = sorted(source.glob("*.txt"))
+        texts = [(txt, read_text(txt)) for txt in inputs]
+        docs = [SourceDocument(id=txt.stem, text=text, title=txt.stem) for txt, text in texts if text.strip()]
     else:
-        docs = load_corpus(source)
+        inputs, docs = [source], load_corpus(source)
     if not docs:
         raise SynthexError("empty corpus")
     dump_jsonl((d.to_dict() for d in docs), args.output)
     print(f"ingested {len(docs)} documents -> {args.output}")
-    return ([source] if source.is_file() else []), [args.output], []
+    return inputs, [args.output], []
 
 
 def _map_documents(fn, docs: list[SourceDocument], workers: int) -> tuple[list, list[tuple]]:
@@ -272,7 +270,6 @@ def cmd_generate(args, config: RunConfig):
     failures = [o for o in outcomes if isinstance(o, FailureRecord)]
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     annotations_path = out_dir / "annotations.jsonl"
     failures_path = out_dir / "failures.jsonl"
     stats_path = out_dir / "length_stats.csv"
@@ -300,7 +297,6 @@ def cmd_postprocess(args, config: RunConfig):
     processor = PostProcessor(gateway, model_name=config.model_name, max_tokens=config.max_tokens)
     kept, drop_log = processor.process(records, parallelism=config.workers())
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kept_path = out_dir / "kept.jsonl"
     drops_path = out_dir / "drops.jsonl"
     save_records(kept, kept_path)
@@ -385,7 +381,7 @@ def cmd_infer(args, config: RunConfig):
     dump_jsonl((prediction_to_dict(p) for p in predictions), args.output)
     valid = sum(1 for p in predictions if p.valid)
     print(f"inferred {len(predictions)} documents, {valid} valid outputs")
-    return [args.task, args.index], [args.output], lost
+    return [path for path in (args.task, args.index, args.exclusions) if path], [args.output], lost
 
 
 def cmd_eval(args, config: RunConfig):

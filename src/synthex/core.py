@@ -398,10 +398,11 @@ def _read_types(data: dict, key: str, strict: bool = False) -> tuple[str, ...]:
 
 @contextmanager
 def atomic_writer(path: str | Path) -> Iterator[IO[str]]:
-    """Write UTF-8 text (no newline translation) to a uniquely named temp
-    file beside ``path``, renamed over it on success and deleted on failure:
-    readers never see a partial file, and concurrent writers never mix."""
+    """Write UTF-8 text (no newline translation) to a uniquely named temp file
+    in ``path``'s directory, made if missing, then rename it over ``path``; a
+    failure deletes it. Readers never see a partial file, writers never mix."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:

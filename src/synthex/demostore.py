@@ -200,14 +200,14 @@ class ExclusionList(frozenset):
 
 @dataclass(frozen=True)
 class DemoIndexEntry:
-    """One demonstration. A provider entry keeps its stored vector; a
-    fallback entry keeps the index's embedder and derives its ``terms`` and
-    ``vector`` from its truncated text."""
+    """One demonstration. A provider entry keeps the vector it was given, not
+    a copy; a fallback entry keeps the index's embedder and derives its
+    ``terms`` and ``vector`` from its truncated text."""
 
     doc_id: str
     truncated_text: str
     record: AnnotationRecord
-    stored_vector: tuple[float, ...] | None = None
+    stored_vector: list[float] | None = None
     embedder: FallbackEmbedder | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -216,10 +216,10 @@ class DemoIndexEntry:
         return self.embedder.terms(self.truncated_text) if self.embedder is not None else []
 
     @property
-    def vector(self) -> tuple[float, ...]:
+    def vector(self) -> list[float]:
         if self.stored_vector is not None:
             return self.stored_vector
-        return tuple(self.embedder.embed(self.truncated_text))
+        return self.embedder.embed(self.truncated_text)
 
     @property
     def norm(self) -> float:
@@ -269,7 +269,7 @@ class DemoIndex:
                         f"doc {record.doc_id}: vector dimension {len(vector)} != {self.dim}"
                     )
                 self._norms.append(_scorable_norm(vector))
-                self.entries.append(DemoIndexEntry(record.doc_id, text, record, stored_vector=tuple(vector)))
+                self.entries.append(DemoIndexEntry(record.doc_id, text, record, stored_vector=vector))
         else:
             raise ValueError(f"unknown index mode {mode!r}")
 
@@ -360,7 +360,7 @@ class DemoIndex:
             for entry in self.entries:
                 item = {"truncated_chars": len(entry.truncated_text), "record": record_to_dict(entry.record)}
                 if entry.stored_vector is not None:
-                    item["vector"] = list(entry.stored_vector)
+                    item["vector"] = entry.stored_vector
                 yield item
 
         dump_jsonl(lines(), path)

@@ -123,7 +123,6 @@ class ChatGateway:
         self.cache_dir = Path(cache_dir)
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         """Return the assistant message text for a single-turn prompt."""

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -766,15 +767,19 @@ class TestManifests:
     def test_each_artifact_command_writes_one_beside_its_first_output(self, tmp_path):
         """ingest -> generate -> postprocess -> stats -> index -> infer -> eval
         over a replay cache: the five commands that write artifacts leave one
-        manifest each, stats and eval none, and a lost document is reported
-        after the summary line."""
+        manifest each, listing every file the command read, stats and eval
+        none, and a lost document is reported after the summary line."""
         corpus = _write_generate_fixture(tmp_path, n_good=2, n_fail=1)
-        with corpus.open("a", encoding="utf-8") as fh:  # no cached response, so lost to a gateway error
-            fh.write(json.dumps(_corpus_doc(9)) + "\n")
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        # doc9 has no cached response, so it is lost to a gateway error; a
+        # blank file is read and skipped, which shapes the corpus all the same.
+        for doc in [*map(json.loads, corpus.read_text(encoding="utf-8").splitlines()), _corpus_doc(9)]:
+            (raw / f"{doc['id']}.txt").write_text(doc["text"], encoding="utf-8")
+        (raw / "blank.txt").write_text(" \n", encoding="utf-8")
         config = ["--config", str(_write_config(tmp_path))]
         ingested = tmp_path / "ingest" / "corpus.jsonl"
-        ingested.parent.mkdir()
-        assert main(["ingest", "--input", str(corpus), "--output", str(ingested)]) == 0
+        assert main(["ingest", "--input", str(raw), "--output", str(ingested)]) == 0
 
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
@@ -789,10 +794,8 @@ class TestManifests:
         post = ["postprocess", "--annotations", str(annotations), "--out-dir", str(tmp_path / "post")]
         assert main(post + config) == 0
         kept = tmp_path / "post" / "kept.jsonl"
-        (tmp_path / "stats").mkdir()
         assert main(["stats", "--dataset", str(kept), "--output", str(tmp_path / "stats" / "stats.json")]) == 0
         index = tmp_path / "index" / "index.json"
-        index.parent.mkdir()
         assert main(["index", "--dataset", str(kept), "--output", str(index)]) == 0
 
         demo = DemoIndex.load(index).retrieve(QUERY_TEXT)[0]
@@ -804,19 +807,25 @@ class TestManifests:
             "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
             "documents": [{"id": "q1", "text": QUERY_TEXT}],
         }), encoding="utf-8")
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_text("doc9\n", encoding="utf-8")
         predictions = tmp_path / "infer" / "predictions.jsonl"
-        predictions.parent.mkdir()
-        assert main(["infer", "--task", str(task), "--index", str(index), "--output", str(predictions)] + config) == 0
+        infer = ["infer", "--task", str(task), "--index", str(index), "--output", str(predictions)] + config
+        assert main(infer + ["--exclusions", str(exclusions)]) == 0
         gold = tmp_path / "gold.jsonl"
         dump_jsonl([{"doc_id": "q1", "text": QUERY_TEXT, "annotated_text": QUERY_ANNOTATED,
                      "entities": QUERY_ENTITIES, "relations": QUERY_RELATIONS}], gold)
-        (tmp_path / "eval").mkdir()
         report = tmp_path / "eval" / "report.json"
         assert main(["eval", "--predictions", str(predictions), "--gold", str(gold), "--output", str(report)]) == 0
 
         first_outputs = {
             "ingest": ingested, "generate": annotations, "postprocess": kept, "index": index, "infer": predictions,
         }
+        inputs = {
+            "ingest": sorted(raw.glob("*.txt")), "generate": [ingested], "postprocess": [annotations],
+            "index": [kept], "infer": [task, index, exclusions],
+        }
+        assert len(inputs["ingest"]) == 5
         assert sorted(tmp_path.rglob("*.manifest.json")) == sorted(
             path.parent / f"{command}.manifest.json" for command, path in first_outputs.items()
         )
@@ -824,6 +833,58 @@ class TestManifests:
             manifest = json.loads((path.parent / f"{command}.manifest.json").read_text(encoding="utf-8"))
             assert manifest["command"] == command
             assert str(path) in manifest["outputs"]
+            assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs[command]}
+
+        # Another exclusions file, same config: the manifest tells the runs apart.
+        manifest_path = predictions.parent / "infer.manifest.json"
+        first = json.loads(manifest_path.read_text(encoding="utf-8"))
+        exclusions.write_text("doc8\n", encoding="utf-8")
+        assert main(infer + ["--exclusions", str(exclusions)]) == 0
+        second = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert second["config_hash"] == first["config_hash"]
+        assert second["inputs"] != first["inputs"]
+        assert second["inputs"][str(exclusions)] == hashlib.sha256(b"doc8\n").hexdigest()
+
+
+class TestOutputDirectories:
+    """Every output's directory is made when the output is written."""
+
+    OUTPUTS = {"ingest": "corpus.jsonl", "index": "index.json", "infer": "p.jsonl", "stats": "s.json", "eval": "r.json"}
+
+    def _argv(self, tmp_path, record, command, output: Path) -> list[str]:
+        task, index = _setup_infer_fixture(tmp_path, record)
+        kept = tmp_path / "kept.jsonl"
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "a.txt").write_text(record.text, encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        prediction = Prediction(record.doc_id, record.entities, record.mentions, record.triples, True, ("", ""))
+        dump_jsonl([prediction_to_dict(prediction)], predictions)
+        flags = {
+            "ingest": ["--input", str(raw)],
+            "index": ["--dataset", str(kept)],
+            "infer": ["--task", str(task), "--index", str(index), "--config", str(_write_config(tmp_path))],
+            "stats": ["--dataset", str(kept)],
+            "eval": ["--predictions", str(predictions), "--gold", str(kept)],
+        }[command]
+        return [command, *flags, "--output", str(output)]
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_written_into_a_missing_nested_directory(self, tmp_path, uni_vienna_record, command):
+        deeper = tmp_path / "new" / "deeper"
+        assert main(self._argv(tmp_path, uni_vienna_record, command, deeper / self.OUTPUTS[command])) == 0
+        manifest = [f"{command}.manifest.json"] if command in ("ingest", "index", "infer") else []
+        assert sorted(p.name for p in deeper.iterdir()) == sorted([self.OUTPUTS[command], *manifest])
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_parent_that_is_a_file_is_an_error_naming_it(self, tmp_path, uni_vienna_record, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        assert main(self._argv(tmp_path, uni_vienna_record, command, blocker / self.OUTPUTS[command])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(blocker)) in err and ".tmp" not in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestWorkerChoice:

@@ -69,6 +69,16 @@ class TestReplay:
         with pytest.raises(CacheMissError):
             gateway.complete("never seen", PARAMS)
 
+    def test_cache_directory_appears_with_its_first_entry(self, tmp_path):
+        cache = tmp_path / "new" / "cache"
+        gateway = ChatGateway(cache_dir=cache, mode="replay")
+        with pytest.raises(CacheMissError):
+            gateway.complete("hello", PARAMS)
+        assert not (tmp_path / "new").exists()
+        gateway.store("hello", PARAMS, "stored")
+        assert [p.suffix for p in cache.iterdir()] == [".json"]
+        assert gateway.complete("hello", PARAMS) == "stored"
+
     def test_record_mode_reads_through_cache(self, tmp_path):
         gateway = ChatGateway(cache_dir=tmp_path, mode="record")  # no endpoint at all
         gateway.store("hello", PARAMS, "cached")

@@ -7,8 +7,10 @@ agrees with a character-by-character reference, JSON extraction with a
 brace-scanner reference, and the fallback index, built or loaded, with a
 reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
 decide; every reader of outside bytes raises only its documented error on
-hostile input."""
+hostile input; ``generate`` through ``cli.main`` accounts for every corpus
+document exactly once; eval's two modes agree on precision."""
 
+import io
 import json
 import math
 import operator
@@ -16,14 +18,16 @@ import random
 import re
 import tempfile
 from collections import defaultdict
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from synthex.annotator import _is_abbreviation, parse_annotation_response, sentence_spans, truncate_text, word_count
+from synthex.cli import main
 from synthex.core import (
     AnnotationRecord,
     Entity,
@@ -40,6 +44,7 @@ from synthex.core import (
     record_to_dict,
 )
 from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
+from synthex.evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate
 from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
 from synthex.gateway import (
     MAX_JSON_DEPTH,
@@ -63,6 +68,7 @@ from synthex.postprocess import (
 )
 
 from conftest import make_passing_record, params_for, replay_gateway
+from test_cli import _corpus_doc, _write_config, _write_generate_fixture
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -656,6 +662,61 @@ def test_phase2_drops_follow_the_verdicts(case):
             kept_triples = kept_by_id[record.doc_id].triples
             assert not {t.predicate for t in kept_triples} & bad
             assert len(kept_triples) == len(record.triples) - removed
+
+
+# --- whole-run semantics ----------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+def test_generate_accounts_for_every_document_once(n_good, n_retry, n_fail, n_lost):
+    """Annotated, failed and lost documents split the corpus as planned, and
+    the printed yield leaves the lost ones out."""
+    assume(n_good + n_retry + n_fail + n_lost)
+    attempted = n_good + n_retry + n_fail
+    ids = [f"doc{i}" for i in range(attempted + n_lost)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = _write_generate_fixture(Path(tmp), n_good, n_retry, n_fail)
+        with corpus.open("a", encoding="utf-8") as fh:  # no cached response, so lost to a gateway error
+            fh.writelines(json.dumps(_corpus_doc(i)) + "\n" for i in range(attempted, len(ids)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            config = str(_write_config(Path(tmp)))
+            assert main(["generate", "--corpus", str(corpus), "--out-dir", f"{tmp}/gen", "--config", config]) == 0
+        annotated = [line["doc_id"] for line in load_jsonl(f"{tmp}/gen/annotations.jsonl")]
+        failed = [line["doc_id"] for line in load_jsonl(f"{tmp}/gen/failures.jsonl")]
+    lost = [line.split(": ")[1] for line in err.getvalue().splitlines() if line.startswith("gateway error: ")]
+    assert sorted(annotated + failed + lost) == sorted(ids)
+    good = n_good + n_retry
+    assert (annotated, failed, lost) == (ids[:good], ids[good:attempted], ids[attempted:])
+    expected_yield = 100.0 * good / (good + n_fail) if good else 0.0
+    assert out.getvalue().splitlines()[0] == f"annotated {good}/{attempted} documents, yield {expected_yield:.2f}%"
+
+
+@st.composite
+def scored_runs(draw):
+    """Gold records with distinct ids, a prediction for a non-empty subset of
+    them, valid or not and some copying their gold's elements so that items
+    match, and the matching mode."""
+    golds = draw(st.lists(records(), min_size=1, max_size=4, unique_by=lambda r: r.doc_id))
+    preds = []
+    for gold in draw(st.lists(st.sampled_from(golds), min_size=1, unique_by=lambda r: r.doc_id)):
+        pred = replace(draw(predictions), doc_id=gold.doc_id)
+        if draw(st.booleans()):
+            pred = replace(pred, entities=gold.entities, mentions=gold.mentions, triples=gold.triples)
+        preds.append(pred)
+    return golds, preds, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_runs())
+def test_eval_modes_agree_on_precision(run):
+    """An invalid or missing prediction adds gold items only, so tp, fp and
+    precision are the same whether its document is scored or dropped."""
+    golds, preds, use_spans = run
+    all_docs, valid_only = (evaluate(preds, golds, mode, use_spans).tasks for mode in (MODE_ALL, MODE_VALID_ONLY))
+    for task in all_docs.keys() & valid_only.keys():
+        a, v = all_docs[task], valid_only[task]
+        assert (a.tp, a.fp, a.precision) == (v.tp, v.fp, v.precision)
 
 
 # --- containment of hostile outside bytes ---------------------------------------

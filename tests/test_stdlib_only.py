@@ -6,7 +6,10 @@ embeddings bodies) in ``core.decode_object``, and model responses in
 ``gateway.extract_json_block``. The chat cache is read in one place,
 ``ChatGateway.complete``, so every chat call takes that one path. Only
 ``core`` reads the aliased keys of the annotated-document layout. Run
-manifests are written in one place, ``cli.main``, for every command."""
+manifests are written in one place, ``cli.main``, for every command. An
+output's directory is made in one place, ``core.atomic_writer``, which every
+file the package writes goes through: no other code calls ``mkdir`` or
+``makedirs``."""
 
 import ast
 import sys
@@ -112,6 +115,14 @@ def test_manifests_are_written_only_in_main():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "write_manifest"]
     assert sites == [("cli.py", "main")]
+
+
+def test_directories_are_made_only_in_atomic_writer():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) in ("mkdir", "makedirs")]
+    assert sites == [("core.py", "atomic_writer")]
 
 
 ALIASED_KEYS = {"relations", "triples", "annotated_text", "text_with_spans"}
