@@ -390,7 +390,8 @@ def cmd_eval(args, config: RunConfig):
         raise SynthexError("no predictions to evaluate")
     golds = load_records(args.gold)
     modes = [args.mode] if args.mode else [MODE_ALL, MODE_VALID_ONLY]
-    reports = [evaluate(predictions, golds, mode=m, use_spans=args.spans) for m in modes]
+    scored = evaluate(predictions, golds, mode=modes[0], use_spans=args.spans)
+    reports = [scored.in_mode(m) for m in modes]
     for report in reports:
         print(report.format_table())
         print()

@@ -109,7 +109,7 @@ def provider_vector(value) -> Embedding:
     divide by."""
     if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise TypeError(f"an embedding is a list of numbers, not {value!r:.100}")
-    vector = Embedding(map(float, value))
+    vector = Embedding([float(x) for x in value])  # sized, so the list is not over-allocated
     vector.norm = _scorable_norm(vector)
     return vector
 
@@ -327,8 +327,10 @@ class DemoIndex:
         """The k most similar demonstrations with their cosine scores.
 
         The query is truncated exactly like the indexed texts. Ties break by
-        ascending doc id so retrieval is fully deterministic; entries sharing
-        no token with a fallback query score 0.0.
+        ascending doc id among equal float scores, so retrieval is fully
+        deterministic; but mathematically equal cosines can round to
+        different floats, and then the larger float wins whatever the doc
+        ids. Entries sharing no token with a fallback query score 0.0.
         """
         exclusions = exclusions or frozenset()
         candidates = [(i, e) for i, e in enumerate(self.entries) if e.doc_id not in exclusions]

@@ -7,14 +7,16 @@ content-based tie-break) and all scores are micro-averaged over documents.
 
 Two evaluation modes mirror how unparseable model outputs are handled:
 ``all_docs`` scores an invalid prediction as empty (its gold annotations all
-count as misses), ``valid_only`` drops those documents entirely. Precision is
-identical across modes by construction; only recall moves.
+count as misses), ``valid_only`` drops those documents entirely. Both are sums
+over one scoring pass that gives each gold document its own tp/fp/fn, so
+precision is identical across modes by construction; only recall moves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import AnnotationRecord, SynthexError, normalize_surface, repeated_ids
 from .inference import Prediction
@@ -81,9 +83,6 @@ class TaskScore:
             "fn": self.fn,
         }
 
-    def __add__(self, other: "TaskScore") -> "TaskScore":
-        return TaskScore(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
 
 def valid_rate(predictions: list[Prediction]) -> float:
     if not predictions:
@@ -93,34 +92,38 @@ def valid_rate(predictions: list[Prediction]) -> float:
 
 # --- clusters -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Cluster:
+class _Cluster(NamedTuple):
     surfaces: frozenset[str]
     type_label: str
     key: tuple
 
     @classmethod
-    def build(cls, entity, mentions) -> "_Cluster":
-        surfaces = frozenset(
-            normalize_surface(m.surface) for m in mentions if m.entity_id == entity.id
-        )
-        if not surfaces:
-            surfaces = frozenset({normalize_surface(entity.name)})
+    def build(cls, entity, surfaces: set[str] | None) -> "_Cluster":
+        """``surfaces`` are the normalized surfaces of the entity's mentions;
+        an entity with none falls back to its normalized name."""
+        surfaces = frozenset(surfaces or (normalize_surface(entity.name),))
         type_label = normalize_surface(entity.type_label)
-        return cls(surfaces=surfaces, type_label=type_label, key=(tuple(sorted(surfaces)), type_label))
+        return cls(surfaces, type_label, (tuple(sorted(surfaces)), type_label))
 
 
 class _Side:
-    """One side of a scored document, built once: a cluster per listed entity
-    and each triple as (normalized predicate, subject cluster, object cluster).
+    """One side of a scored document, built once: each mention's normalized
+    surface, a cluster per listed entity and each triple as (normalized
+    predicate, subject cluster, object cluster).
 
-    A repeated entity id yields one cluster per listing, while a triple
-    endpoint resolves to the last entity carrying its id (None when none does).
+    Mentions are grouped by entity id in one pass, so building is linear in
+    mentions. A repeated entity id yields one cluster per listing, a mention
+    whose entity id names no entity joins no cluster, and a triple endpoint
+    resolves to the last entity carrying its id (None when none does).
     """
 
     def __init__(self, doc: AnnotationRecord | Prediction | None):
         entities, self.mentions, triples = (doc.entities, doc.mentions, doc.triples) if doc else ((), (), ())
-        self.clusters = [_Cluster.build(e, self.mentions) for e in entities]
+        self.surfaces = [normalize_surface(m.surface) for m in self.mentions]
+        by_entity: dict[int, set[str]] = {}
+        for m, surface in zip(self.mentions, self.surfaces):
+            by_entity.setdefault(m.entity_id, set()).add(surface)
+        self.clusters = [_Cluster.build(e, by_entity.get(e.id)) for e in entities]
         by_id = {e.id: c for e, c in zip(entities, self.clusters)}
         self.triples = [
             (normalize_surface(t.predicate), by_id.get(t.subject), by_id.get(t.object)) for t in triples
@@ -145,22 +148,27 @@ def _greedy_match(candidates) -> list[tuple[int, int]]:
     return pairs
 
 
-def _score(matched: int, predicted: int, gold: int) -> TaskScore:
-    return TaskScore(matched, predicted - matched, gold - matched)
+Counts = tuple[int, int, int]  # tp, fp, fn
+
+
+def _score(matched: int, predicted: int, gold: int) -> Counts:
+    return matched, predicted - matched, gold - matched
 
 
 # --- per-document task scores -------------------------------------------------
-# evaluate() calls each scorer once per document; keeping one named function
-# per task gives perfbench's tracer a span for each task's share of the time.
+# evaluate() calls each scorer once per scored document; keeping one named
+# function per task gives perfbench's tracer a span for each task's share of
+# the time.
 
-def eval_mentions(pred: _Side, gold: _Side, use_spans: bool) -> TaskScore:
+def eval_mentions(pred: _Side, gold: _Side, use_spans: bool) -> Counts:
     """Mention detection: multiset matching on normalized surfaces (or exact
     spans with ``use_spans``), type ignored."""
-
-    def key(m):
-        return (m.span.start, m.span.end) if use_spans else normalize_surface(m.surface)
-
-    overlap = sum((Counter(map(key, pred.mentions)) & Counter(map(key, gold.mentions))).values())
+    if use_spans:
+        pred_keys = [(m.span.start, m.span.end) for m in pred.mentions]
+        gold_keys = [(m.span.start, m.span.end) for m in gold.mentions]
+    else:
+        pred_keys, gold_keys = pred.surfaces, gold.surfaces
+    overlap = sum((Counter(pred_keys) & Counter(gold_keys)).values())
     return _score(overlap, len(pred.mentions), len(gold.mentions))
 
 
@@ -173,19 +181,19 @@ def _entity_pairs(pred: _Side, gold: _Side) -> list[tuple[int, int]]:
     )
 
 
-def eval_entity_ident(pred: _Side, gold: _Side, pairs) -> TaskScore:
+def eval_entity_ident(pred: _Side, gold: _Side, pairs) -> Counts:
     """Entity identification: clusters match on any shared normalized surface."""
     return _score(len(pairs), len(pred.clusters), len(gold.clusters))
 
 
-def eval_entity_class(pred: _Side, gold: _Side, pairs) -> TaskScore:
+def eval_entity_class(pred: _Side, gold: _Side, pairs) -> Counts:
     """As identification, but a matched pair only counts when the normalized
     type labels agree; a match with the wrong type costs both FP and FN."""
     typed = sum(1 for i, j in pairs if pred.clusters[i].type_label == gold.clusters[j].type_label)
     return _score(typed, len(pred.clusters), len(gold.clusters))
 
 
-def eval_relations(pred: _Side, gold: _Side) -> tuple[TaskScore, TaskScore]:
+def eval_relations(pred: _Side, gold: _Side) -> tuple[Counts, Counts]:
     """Relation extraction, general and strict: triples match on normalized
     predicate plus endpoint-cluster surface overlap on both ends; strict
     additionally requires endpoint types to agree. Directionality always
@@ -217,15 +225,53 @@ def eval_relations(pred: _Side, gold: _Side) -> tuple[TaskScore, TaskScore]:
 
 # --- report --------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DocScore:
+    """One scored gold document: tp/fp/fn per task, in ``TASKS`` order.
+    ``valid`` says whether a valid prediction was scored (otherwise the
+    predicted side was empty); ``mentions_annotated`` is False for a gold
+    document with entities but no mention-level annotation."""
+
+    doc_id: str
+    valid: bool
+    mentions_annotated: bool
+    counts: tuple[Counts, ...]
+
+
 @dataclass
 class EvalReport:
-    """Scores for one mode. ``valid_rate`` is over the predictions, so it
-    leaves out the ``missing_predictions`` gold documents that have none."""
+    """Scores for one mode, summed from the per-document ``rows``.
+    ``valid_rate`` is over the predictions, so it leaves out the
+    ``missing_predictions`` gold documents that have none."""
 
     mode: str
     valid_rate: float
     missing_predictions: int
     tasks: dict[str, TaskScore]
+    rows: list[DocScore] = field(repr=False)
+
+    @classmethod
+    def summed(cls, mode: str, valid_rate: float, missing: int, rows: list[DocScore]) -> "EvalReport":
+        """The report of ``mode`` over ``rows``: ``all_docs`` sums every row,
+        ``valid_only`` the rows of valid predictions. Mention detection is
+        left out when a summed row's gold has no mention-level annotation."""
+        if mode == MODE_VALID_ONLY:
+            rows = [row for row in rows if row.valid]
+        totals = [tuple(map(sum, zip(*task))) for task in zip(*(row.counts for row in rows))]
+        tasks = {task: TaskScore(*counts) for task, counts in zip(TASKS, totals or [(0, 0, 0)] * len(TASKS))}
+        if not all(row.mentions_annotated for row in rows):
+            del tasks["mention_det"]
+        return cls(mode, valid_rate, missing, tasks, rows)
+
+    def in_mode(self, mode: str) -> "EvalReport":
+        """This report in ``mode``, without scoring anything again: an
+        ``all_docs`` report holds a row for every gold document, so it gives
+        both modes."""
+        if mode == self.mode:
+            return self
+        if self.mode != MODE_ALL:
+            raise ValueError(f"a {self.mode} report has no rows for {mode}")
+        return EvalReport.summed(mode, self.valid_rate, self.missing_predictions, self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -258,12 +304,14 @@ def evaluate(
     mode: str = MODE_ALL,
     use_spans: bool = False,
 ) -> EvalReport:
-    """Score every task in one pass over the gold documents, micro-averaged.
+    """Score each gold document once, then sum the documents ``mode`` counts
+    (micro-averaging).
 
-    Mention detection is skipped when a scored gold document has entities
-    but no mention-level annotation (entity names only). Gold documents must
-    carry distinct doc ids, and so must predictions, each naming a gold
-    document.
+    ``all_docs`` scores every gold document, a missing or invalid prediction
+    as the empty side; its report's :meth:`EvalReport.in_mode` gives
+    ``valid_only`` from the same rows. ``valid_only`` scores only the
+    documents that have a valid prediction. Gold documents must carry
+    distinct doc ids, and so must predictions, each naming a gold document.
     """
     if mode not in (MODE_ALL, MODE_VALID_ONLY):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -278,28 +326,21 @@ def evaluate(
     unmatched = sorted(by_id.keys() - gold_ids)
     if unmatched:
         raise UnmatchedPredictionError(f"prediction doc ids with no gold document: {unmatched}")
-    tasks = dict.fromkeys(TASKS, TaskScore(0, 0, 0))
-    mentions_annotated = True
-    missing = 0
+    rows = []
     for gold_doc in golds:
         pred_doc = by_id.get(gold_doc.doc_id)
-        missing += pred_doc is None
-        if pred_doc is None or not pred_doc.valid:
-            if mode == MODE_VALID_ONLY:
-                continue
-            pred_doc = None
-        if gold_doc.entities and not gold_doc.mentions:
-            mentions_annotated = False
-        pred, gold = _Side(pred_doc), _Side(gold_doc)
+        valid = pred_doc is not None and pred_doc.valid
+        if not valid and mode == MODE_VALID_ONLY:
+            continue
+        pred, gold = _Side(pred_doc if valid else None), _Side(gold_doc)
         pairs = _entity_pairs(pred, gold)
-        scores = (
+        counts = (
             eval_mentions(pred, gold, use_spans),
             eval_entity_ident(pred, gold, pairs),
             eval_entity_class(pred, gold, pairs),
             *eval_relations(pred, gold),
         )
-        for task, score in zip(TASKS, scores):
-            tasks[task] += score
-    if not mentions_annotated:
-        del tasks["mention_det"]
-    return EvalReport(mode=mode, valid_rate=valid_rate(predictions), missing_predictions=missing, tasks=tasks)
+        mentions_annotated = bool(gold_doc.mentions) or not gold_doc.entities
+        rows.append(DocScore(gold_doc.doc_id, valid, mentions_annotated, counts))
+    missing = len(gold_ids - by_id.keys())
+    return EvalReport.summed(mode, valid_rate(predictions), missing, rows)

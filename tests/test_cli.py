@@ -1,10 +1,13 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import random
 import shutil
 import threading
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import pytest
 
 from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
-from synthex.core import Schema, dump_jsonl, load_records, record_from_dict, record_to_dict, save_records
+from synthex.core import Entity, Schema, dump_jsonl, load_records, record_from_dict, record_to_dict, save_records
 from synthex.demostore import DemoIndex, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import InferencePipeline, Prediction, build_inference_prompt, prediction_to_dict
@@ -26,6 +29,7 @@ from conftest import (
     chat_ok,
     completed_inference_json,
     good_annotation_response,
+    make_passing_record,
     params_for,
     request_prompts,
     trivial_record,
@@ -748,6 +752,61 @@ class TestIndexInferEval:
         code = main(["index", "--dataset", str(dataset), "--output", str(tmp_path / "i.json")])
         assert code == 1
         assert "cannot build an index over zero records" in capsys.readouterr().err
+
+
+def _write_eval_fixture(tmp_path) -> tuple[Path, Path]:
+    """Six gold documents and predictions for four valid ones: an exact copy,
+    one that misses a mention, mistypes an entity and misses a triple, one
+    with an extra entity and one that is empty. ``doc2``'s prediction is
+    invalid and ``doc3``, whose gold has entities but no mentions, has none."""
+    rng = random.Random(24)
+    golds = [make_passing_record(rng, f"doc{i}") for i in range(6)]
+    golds[3] = replace(golds[3], mentions=())
+    predictions = [Prediction(g.doc_id, g.entities, g.mentions, g.triples, True, ("", "")) for g in golds]
+    first = golds[1].entities[0]
+    predictions[1] = replace(
+        predictions[1],
+        entities=(replace(first, type_label=first.type_label + "x"), *golds[1].entities[1:]),
+        mentions=golds[1].mentions[1:],
+        triples=golds[1].triples[1:],
+    )
+    predictions[2] = replace(predictions[2], entities=(), mentions=(), triples=(), valid=False)
+    predictions[4] = replace(predictions[4], entities=(*golds[4].entities, Entity(99, "Nowhere Else", "Place")))
+    predictions[5] = replace(predictions[5], entities=(), mentions=(), triples=())
+    del predictions[3]
+    gold_path, predictions_path = tmp_path / "gold.jsonl", tmp_path / "predictions.jsonl"
+    save_records(golds, gold_path)
+    dump_jsonl((prediction_to_dict(p) for p in predictions), predictions_path)
+    return predictions_path, gold_path
+
+
+EVAL_EXPECTED = Path(__file__).parent / "data"
+SCORERS = ("eval_mentions", "eval_entity_ident", "eval_entity_class", "eval_relations")
+
+
+class TestEvalScoresEachDocumentOnce:
+    """``synthex eval`` scores each gold document once, whatever modes it
+    reports, and prints and writes the bytes it did when it scored each mode
+    in a pass of its own (the expected files come from that evaluator)."""
+
+    @pytest.mark.parametrize("mode, scored", [(None, 6), ("valid_only", 4)], ids=["both_modes", "valid_only"])
+    def test_each_scorer_runs_once_per_scored_document(self, tmp_path, capsys, monkeypatch, mode, scored):
+        evaluate_module = importlib.import_module("synthex.evaluate")
+        calls = Counter()
+        for name in SCORERS:
+            def counted(*args, _name=name, _scorer=getattr(evaluate_module, name)):
+                calls[_name] += 1
+                return _scorer(*args)
+
+            monkeypatch.setattr(evaluate_module, name, counted)
+        predictions, gold = _write_eval_fixture(tmp_path)
+        report = tmp_path / "report.json"
+        argv = ["eval", "--predictions", str(predictions), "--gold", str(gold), "--output", str(report)]
+        assert main(argv + (["--mode", mode] if mode else [])) == 0
+        assert calls == dict.fromkeys(SCORERS, scored)
+        name = mode or "both_modes"
+        assert capsys.readouterr().out == (EVAL_EXPECTED / f"eval_{name}.stdout").read_text(encoding="utf-8")
+        assert report.read_bytes() == (EVAL_EXPECTED / f"eval_{name}.report.json").read_bytes()
 
 
 MODEL_CALL_FLAGS = {"--cache", "--replay", "--record", "--parallelism"}

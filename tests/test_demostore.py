@@ -16,6 +16,7 @@ from synthex.core import save_records
 from synthex.demostore import (
     DemoIndex,
     DimensionMismatchError,
+    Embedding,
     EmptyIndexError,
     EmptyTextError,
     ExclusionList,
@@ -25,6 +26,7 @@ from synthex.demostore import (
     ZeroVectorError,
     build_index,
     cosine,
+    provider_vector,
 )
 
 from conftest import BROKEN_REPLIES, RawReplyHandler, trivial_record
@@ -217,6 +219,14 @@ class TestProviderEmbedder:
         embedder = ProviderEmbedder(base_url=embed_server, model_name="emb-1")
         with pytest.raises(ProviderError, match="zero"):
             embedder.embed("hello")
+
+    @pytest.mark.parametrize("dimension", [2, 64, 1536])
+    def test_provider_vector_takes_no_more_memory_than_an_exact_list(self, dimension):
+        rng = random.Random(dimension)
+        value = [rng.choice([rng.uniform(-1.0, 1.0), rng.randint(-3, 3) or 1]) for _ in range(dimension)]
+        vector = provider_vector(value)
+        assert vector == [float(x) for x in value]
+        assert sys.getsizeof(vector) <= sys.getsizeof(Embedding(list(value)))
 
 
 def _corpus(n: int, rng: random.Random, vocab=None):

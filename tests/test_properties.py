@@ -8,7 +8,10 @@ brace-scanner reference, and the fallback index, built or loaded, with a
 reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
 decide; every reader of outside bytes raises only its documented error on
 hostile input; ``generate`` through ``cli.main`` accounts for every corpus
-document exactly once; eval's two modes agree on precision."""
+document exactly once; every prediction makes exactly two chat calls, call 2
+carrying call 1's partial; eval's two modes agree on precision, and its
+one-pass reports equal a reference that scores each mode in a pass of its
+own."""
 
 import io
 import json
@@ -17,7 +20,7 @@ import operator
 import random
 import re
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -32,6 +35,8 @@ from synthex.core import (
     AnnotationRecord,
     Entity,
     Mention,
+    Schema,
+    SourceDocument,
     Span,
     Triple,
     derive_entity_types,
@@ -44,8 +49,16 @@ from synthex.core import (
     record_to_dict,
 )
 from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
-from synthex.evaluate import MODE_ALL, MODE_VALID_ONLY, evaluate
-from synthex.inference import Prediction, _reanchor_mentions, prediction_from_dict, prediction_to_dict
+from synthex.evaluate import MODE_ALL, MODE_VALID_ONLY, TASKS, evaluate
+from synthex.inference import (
+    InferencePipeline,
+    Prediction,
+    _reanchor_mentions,
+    build_inference_prompt,
+    first_fragment,
+    prediction_from_dict,
+    prediction_to_dict,
+)
 from synthex.gateway import (
     MAX_JSON_DEPTH,
     CacheMissError,
@@ -67,7 +80,7 @@ from synthex.postprocess import (
     build_triple_verification_prompt,
 )
 
-from conftest import make_passing_record, params_for, replay_gateway
+from conftest import good_annotation_response, make_passing_record, params_for, replay_gateway
 from test_cli import _corpus_doc, _write_config, _write_generate_fixture
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -692,6 +705,59 @@ def test_generate_accounts_for_every_document_once(n_good, n_retry, n_fail, n_lo
     assert out.getvalue().splitlines()[0] == f"annotated {good}/{attempted} documents, yield {expected_yield:.2f}%"
 
 
+INFER_MODEL = "test-model"
+INFER_SCHEMA = Schema.from_lists(["Topic"], ["relates_to"])
+sentences = st.lists(st.sampled_from(["Alpha", "beta", "Gamma", "delta", "epsilon"]), min_size=1, max_size=6).map(
+    lambda words: " ".join(words) + "."
+)
+documents = st.lists(st.lists(sentences, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=3).map(
+    lambda paragraphs: SourceDocument(id="q", text="\n\n".join(paragraphs))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(documents, st.sampled_from(["parsed", "unreadable"]), st.sampled_from(["valid", "unreadable", "echo"]))
+def test_each_prediction_makes_two_calls_and_call_two_carries_call_one(doc, call_1, call_2):
+    """Through a replayed gateway: every prediction, valid or not, makes
+    exactly two chat calls; it is valid exactly when call 2's answer parses
+    and echoes the document; call 2's query block holds call 1's markup and
+    entities when call 1 parsed, and an empty annotation when it did not."""
+    demo = make_passing_record(random.Random(3), "demo")
+    fragment = first_fragment(doc)
+    response_1 = good_annotation_response(fragment) if call_1 == "parsed" else "no json here"
+    response_2 = {
+        "valid": good_annotation_response(doc.text),
+        "unreadable": "still no json",
+        "echo": good_annotation_response(doc.text + " Zeta."),
+    }[call_2]
+    partials = [None]
+    if call_1 == "parsed":
+        partials.append(replace(parse_annotation_response(response_1), text=fragment))
+    answers = {build_inference_prompt(demo, None, fragment, INFER_SCHEMA): response_1}
+    for partial in partials:
+        # Call 2 is answered with or without the partial; the prompt check
+        # below decides. A one-paragraph document whose call 1 did not parse
+        # asks call 2 what it asked call 1, so it gets call 1's answer again.
+        answers.setdefault(build_inference_prompt(demo, partial, doc.text, INFER_SCHEMA), response_2)
+    params = params_for(INFER_MODEL, 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        gateway = replay_gateway(Path(tmp), [(prompt, params, answer) for prompt, answer in answers.items()])
+        prompts = []
+        complete = gateway.complete
+        gateway.complete = lambda prompt, call_params: prompts.append(prompt) or complete(prompt, call_params)
+        index = build_index([demo], mode="fallback", min_words=100)
+        prediction = InferencePipeline(gateway, index, INFER_MODEL).infer(doc, INFER_SCHEMA)
+    assert len(prompts) == 2
+    assert prediction.valid == (answers[prompts[1]] == good_annotation_response(doc.text))
+    query_block = json.loads(re.findall(r"```json\n(.*?)\n```", prompts[1], re.DOTALL)[1])
+    carried = (query_block["text_with_spans"], query_block["entities"])
+    if call_1 == "parsed":
+        call_1_block = json.loads(re.search(r"```json\n(.*?)\n```", response_1, re.DOTALL).group(1))
+        assert carried == (call_1_block["text_with_spans"], call_1_block["entities"])
+    else:
+        assert carried == ("", [])
+
+
 @st.composite
 def scored_runs(draw):
     """Gold records with distinct ids, a prediction for a non-empty subset of
@@ -717,6 +783,186 @@ def test_eval_modes_agree_on_precision(run):
     for task in all_docs.keys() & valid_only.keys():
         a, v = all_docs[task], valid_only[task]
         assert (a.tp, a.fp, a.precision) == (v.tp, v.fp, v.precision)
+
+
+# The evaluator as it was when each mode scored every gold document in a pass
+# of its own, each cluster scanning every mention of its document; copied as
+# it was, less the score class, so that one-pass reports can be held to it.
+
+def _reference_greedy_match(candidates):
+    taken_pred, taken_gold, pairs = set(), set(), []
+    for *_, i, j in sorted(candidates):
+        if i not in taken_pred and j not in taken_gold:
+            taken_pred.add(i)
+            taken_gold.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
+ReferenceCluster = namedtuple("ReferenceCluster", "surfaces type_label key")
+
+
+def _reference_cluster(entity, mentions):
+    surfaces = frozenset(normalize_surface(m.surface) for m in mentions if m.entity_id == entity.id)
+    if not surfaces:
+        surfaces = frozenset({normalize_surface(entity.name)})
+    type_label = normalize_surface(entity.type_label)
+    return ReferenceCluster(surfaces, type_label, (tuple(sorted(surfaces)), type_label))
+
+
+def _reference_side(doc):
+    entities, doc_mentions, doc_triples = (doc.entities, doc.mentions, doc.triples) if doc else ((), (), ())
+    clusters = [_reference_cluster(e, doc_mentions) for e in entities]
+    by_id = {e.id: c for e, c in zip(entities, clusters)}
+    return doc_mentions, clusters, [
+        (normalize_surface(t.predicate), by_id.get(t.subject), by_id.get(t.object)) for t in doc_triples
+    ]
+
+
+def _reference_scores(pred_doc, gold_doc, use_spans):
+    """tp/fp/fn of one document for each task, in ``TASKS`` order."""
+    (p_mentions, p_clusters, p_triples), (g_mentions, g_clusters, g_triples) = map(
+        _reference_side, (pred_doc, gold_doc)
+    )
+
+    def key(m):
+        return (m.span.start, m.span.end) if use_spans else normalize_surface(m.surface)
+
+    def score(matched, predicted, gold):
+        return matched, predicted - matched, gold - matched
+
+    overlap = sum((Counter(map(key, p_mentions)) & Counter(map(key, g_mentions))).values())
+    pairs = _reference_greedy_match(
+        (-len(p.surfaces & g.surfaces), p.key, g.key, i, j)
+        for i, p in enumerate(p_clusters)
+        for j, g in enumerate(g_clusters)
+        if p.surfaces & g.surfaces
+    )
+    typed = sum(1 for i, j in pairs if p_clusters[i].type_label == g_clusters[j].type_label)
+    candidates = []
+    for i, (p_pred, p_subj, p_obj) in enumerate(p_triples):
+        if p_subj is None or p_obj is None:
+            continue
+        for j, (g_pred, g_subj, g_obj) in enumerate(g_triples):
+            if g_subj is None or g_obj is None or p_pred != g_pred:
+                continue
+            subj_overlap = len(p_subj.surfaces & g_subj.surfaces)
+            obj_overlap = len(p_obj.surfaces & g_obj.surfaces)
+            if subj_overlap and obj_overlap:
+                candidate = (
+                    -(subj_overlap + obj_overlap),
+                    (p_pred, p_subj.key, p_obj.key),
+                    (g_pred, g_subj.key, g_obj.key),
+                    i,
+                    j,
+                )
+                typed_ends = p_subj.type_label == g_subj.type_label and p_obj.type_label == g_obj.type_label
+                candidates.append((candidate, typed_ends))
+    general = _reference_greedy_match(c for c, _ in candidates)
+    strict = _reference_greedy_match(c for c, typed_ends in candidates if typed_ends)
+    return (
+        score(overlap, len(p_mentions), len(g_mentions)),
+        score(len(pairs), len(p_clusters), len(g_clusters)),
+        score(typed, len(p_clusters), len(g_clusters)),
+        score(len(general), len(p_triples), len(g_triples)),
+        score(len(strict), len(p_triples), len(g_triples)),
+    )
+
+
+def reference_evaluate(predictions, golds, mode, use_spans):
+    """(task -> (tp, fp, fn), missing predictions, valid rate) of one mode."""
+    by_id = {p.doc_id: p for p in predictions}
+    tasks = dict.fromkeys(TASKS, (0, 0, 0))
+    mentions_annotated = True
+    missing = 0
+    for gold_doc in golds:
+        pred_doc = by_id.get(gold_doc.doc_id)
+        missing += pred_doc is None
+        if pred_doc is None or not pred_doc.valid:
+            if mode == MODE_VALID_ONLY:
+                continue
+            pred_doc = None
+        if gold_doc.entities and not gold_doc.mentions:
+            mentions_annotated = False
+        for task, counts in zip(TASKS, _reference_scores(pred_doc, gold_doc, use_spans)):
+            tasks[task] = tuple(map(operator.add, tasks[task], counts))
+    if not mentions_annotated:
+        del tasks["mention_det"]
+    return tasks, missing, 100.0 * sum(p.valid for p in predictions) / len(predictions)
+
+
+def assert_matches_the_reference(preds, golds):
+    """Both modes, with and without spans, whether reported by their own
+    ``evaluate`` call or derived from the ``all_docs`` one."""
+    for use_spans in (False, True):
+        all_docs = evaluate(preds, golds, MODE_ALL, use_spans)
+        for mode in (MODE_ALL, MODE_VALID_ONLY):
+            expected = reference_evaluate(preds, golds, mode, use_spans)
+            for report in (all_docs.in_mode(mode), evaluate(preds, golds, mode, use_spans)):
+                assert report.mode == mode
+                tasks = {task: (s.tp, s.fp, s.fn) for task, s in report.tasks.items()}
+                assert (tasks, report.missing_predictions, report.valid_rate) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_runs())
+def test_one_pass_eval_matches_the_two_pass_reference(run):
+    golds, preds, _ = run
+    assert_matches_the_reference(preds, golds)
+
+
+def _grouping_case(gold_entities, gold_mentions, pred_entities, pred_mentions, triple=None):
+    """One gold document and a valid prediction for it, plus a second gold
+    document whose prediction is invalid, over the surfaces "a", "b" and "c"."""
+    def mention(entity_id, surface, start):
+        return Mention(entity_id, Span(start, start + 1), surface, "T")
+
+    triples = (triple,) if triple else ()
+    gold = AnnotationRecord("g", "a b c", "a b c", tuple(gold_entities),
+                            tuple(mention(*m) for m in gold_mentions), triples, ("T",), ())
+    other = replace(gold, doc_id="h")
+    preds = [
+        Prediction("g", tuple(pred_entities), tuple(mention(*m) for m in pred_mentions), triples, True, ("", "")),
+        Prediction("h", (), (), (), False, ("", "")),
+    ]
+    return preds, [gold, other]
+
+
+def test_eval_groups_a_repeated_entity_id_into_each_listing():
+    """Both listings of id 0 gather the mentions "a" and "b"; the triple's
+    endpoints resolve to the last listing, so its "a" matches the predicted
+    endpoints."""
+    triple = Triple("d", "s", 0, "p", 0)
+    entities = [Entity(0, "a", "T"), Entity(0, "b", "U")]
+    preds, golds = _grouping_case(entities, [(0, "a", 0), (0, "b", 2)], entities[:1], [(0, "a", 0)], triple)
+    assert_matches_the_reference(preds, golds)
+    tasks = evaluate(preds, golds).in_mode(MODE_VALID_ONLY).tasks
+    assert (tasks["entity_ident"].tp, tasks["entity_ident"].fn) == (1, 1)
+    assert (tasks["entity_class"].tp, tasks["re_general"].tp, tasks["re_strict"].tp) == (1, 1, 0)
+
+
+def test_eval_leaves_a_mention_of_no_listed_entity_out_of_every_cluster():
+    """The mention "c" of id 7 still counts for mention detection, but joins
+    no cluster, so entity 0 matches on "a" alone."""
+    preds, golds = _grouping_case(
+        [Entity(0, "a", "T")], [(0, "a", 0), (7, "c", 4)], [Entity(0, "a", "T")], [(0, "a", 0)]
+    )
+    assert_matches_the_reference(preds, golds)
+    tasks = evaluate(preds, golds).tasks
+    assert (tasks["mention_det"].tp, tasks["mention_det"].fn) == (1, 3)
+    assert (tasks["entity_ident"].tp, tasks["entity_ident"].fn) == (1, 1)
+
+
+def test_eval_clusters_an_entity_with_no_mention_by_its_name():
+    """Entity 1 has no mention, so its cluster is its normalized name "  B "
+    -> "b", which the prediction's mention "B " matches once normalized."""
+    preds, golds = _grouping_case(
+        [Entity(0, "a", "T"), Entity(1, "  B ", "T")], [(0, "a", 0)],
+        [Entity(0, "x", "T")], [(0, "B ", 2)],
+    )
+    assert_matches_the_reference(preds, golds)
+    tasks = evaluate(preds, golds, MODE_VALID_ONLY).tasks
+    assert (tasks["entity_ident"].tp, tasks["entity_ident"].fp, tasks["entity_ident"].fn) == (1, 0, 1)
 
 
 # --- containment of hostile outside bytes ---------------------------------------
