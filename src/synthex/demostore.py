@@ -12,23 +12,23 @@ term-frequency vector over a corpus-fixed vocabulary. The fallback exists so
 tests and offline runs need no network; it is not a substitute for semantic
 similarity. A build embeds through a provider on ``map_contained``'s pool.
 
-A fallback index weighs demonstrations and queries with one function,
-``FallbackEmbedder.weigh``. Its posting lists are the one stored copy of the
-demonstration weights: per vocabulary position, parallel lists of entry ids
-and weights, so a query only scores the entries sharing a token with it. An
-entry derives its ``terms``, ``vector`` and ``norm`` from its truncated text
-when asked. The score is the same float ``cosine`` computes over the dense
-vectors: the zero terms of the dense dot product and norms add exactly 0.0,
-so summing the nonzero terms in position order with ``sum()`` gives the same
-sums. Entries sharing no token score 0.0, and so does every entry for a query
-with no token in the vocabulary. Building or loading an index counts each
-truncated text's tokens once, which gives the vocabulary. The weights,
-postings and entry norms are derived from those counts once per index: by
-``load``, or by the first retrieval from an index ``build_index`` made, so
-``synthex index``, which only saves, never derives them. The file (format v3)
-is JSONL: a header line of ``version``, ``mode`` and ``min_words``, then one
-entry per line holding a record, its truncated text as the length of its
-prefix of the record text and, in provider mode, its vector.
+A fallback index scores from integer token counts. Building or loading an
+index counts each truncated text's tokens once, which gives the vocabulary.
+From those counts the index derives, once, its postings, per vocabulary
+position the ids of the entries holding the token and its count in each, and
+each entry's sum of squared counts ``s``. A query sums its integer dot product
+``d`` with each entry sharing a token with it, and its own sum of squared
+counts ``q`` over the vocabulary's tokens, and scores the entry
+``sqrt(d * d / (q * s))``, the cosine of the two term-frequency vectors. The
+ratio of exact integers is correctly rounded, so mathematically equal cosines
+are equal floats and an exact tie goes to the smaller doc id. Entries sharing
+no token score 0.0, and so does every entry for a query with no token in the
+vocabulary. ``load`` builds the postings, or else the first retrieval from an
+index ``build_index`` made, so ``synthex index``, which only saves, never
+builds them. The file (format v3) is JSONL: a header line of ``version``,
+``mode`` and ``min_words``, then one entry per line holding a record, unique
+by doc id, its truncated text as the length of its prefix of the record text
+and, in provider mode, its vector.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .core import (
     read_text,
     record_from_dict,
     record_to_dict,
+    repeated_ids,
 )
 from .gateway import GatewayError, map_contained, post_json
 
@@ -136,28 +137,18 @@ class FallbackEmbedder:
     def dim(self) -> int:
         return len(self.vocabulary)
 
-    def weigh(self, counts: Counter) -> list[tuple[int, float]]:
-        """The nonzero ``(position, weight)`` pairs, in position order, of a
-        text's token counts ``Counter(text.lower().split())``; empty when no
-        token is in the vocabulary."""
+    def embed(self, text: str) -> list[float]:
+        counts = Counter(text.lower().split())
         if not counts:
             raise EmptyTextError("cannot embed empty text")
         positions = self._positions
         tallies = sorted([(positions[token], n) for token, n in counts.items() if token in positions])
-        norm = _norm([n for _, n in tallies])
-        return [(position, n / norm) for position, n in tallies]
-
-    def terms(self, text: str) -> list[tuple[int, float]]:
-        """The nonzero ``(position, weight)`` pairs of ``embed(text)``."""
-        return self.weigh(Counter(text.lower().split()))
-
-    def embed(self, text: str) -> list[float]:
-        terms = self.terms(text)
-        if not terms:
+        if not tallies:
             raise ZeroVectorError("no text token occurs in the index vocabulary")
+        norm = _norm([n for _, n in tallies])
         vector = [0.0] * self.dim
-        for position, weight in terms:
-            vector[position] = weight
+        for position, n in tallies:
+            vector[position] = n / norm
         return vector
 
 
@@ -202,7 +193,7 @@ class ExclusionList(frozenset):
 class DemoIndexEntry:
     """One demonstration. A provider entry keeps the vector it was given, not
     a copy; a fallback entry keeps the index's embedder and derives its
-    ``terms`` and ``vector`` from its truncated text."""
+    ``vector`` from its truncated text."""
 
     doc_id: str
     truncated_text: str
@@ -211,20 +202,22 @@ class DemoIndexEntry:
     embedder: FallbackEmbedder | None = field(default=None, repr=False, compare=False)
 
     @property
-    def terms(self) -> list[tuple[int, float]]:
-        """A fallback entry's nonzero ``(position, weight)`` pairs."""
-        return self.embedder.terms(self.truncated_text) if self.embedder is not None else []
-
-    @property
     def vector(self) -> list[float]:
         if self.stored_vector is not None:
             return self.stored_vector
         return self.embedder.embed(self.truncated_text)
 
-    @property
-    def norm(self) -> float:
-        """The norm ``cosine`` computes for ``vector``, the one scoring uses."""
-        return _norm(self.vector)
+
+def _build_postings(positions: dict[str, int], counts: list[Counter]) -> tuple[list, list, list[int]]:
+    """Per vocabulary position, the ids of the entries holding its token and its
+    count in each, in id order; and per entry, its sum of squared counts."""
+    ids, ns = [[] for _ in positions], [[] for _ in positions]
+    for i, tally in enumerate(counts):
+        for token, n in tally.items():
+            position = positions[token]
+            ids[position].append(i)
+            ns[position].append(n)
+    return ids, ns, [sum(n * n for n in tally.values()) for tally in counts]
 
 
 class DemoIndex:
@@ -247,8 +240,11 @@ class DemoIndex:
         self.vocabulary: list[str] | None = None
         self._lock = threading.Lock()
         self._counts: list[Counter] | None = None
+        duplicates = repeated_ids(record.doc_id for record in records)
+        if duplicates:
+            raise ValueError(f"duplicate demonstration ids {duplicates}")
         if mode == "fallback":
-            # One tokenising pass per text gives the vocabulary; ``_derive`` weighs the counts.
+            # One tokenising pass per text gives the vocabulary; ``_derive`` indexes the counts.
             self._counts = [Counter(text.lower().split()) for text in truncated_texts]
             if not all(self._counts):
                 raise EmptyTextError("cannot embed empty text")
@@ -274,36 +270,32 @@ class DemoIndex:
             raise ValueError(f"unknown index mode {mode!r}")
 
     def _derive(self):
-        """Weigh the counted fallback texts into postings and entry norms,
-        then free the counts: once per index, whichever thread asks first."""
+        """Build the fallback postings from the counted texts, then free the
+        counts: once per index, whichever thread asks first."""
         with self._lock:
-            if self._counts is None:
-                return
-            self._posting_ids: list[list[int]] = [[] for _ in self.vocabulary]
-            self._posting_weights: list[list[float]] = [[] for _ in self.vocabulary]
-            self._norms = []
-            for i, tally in enumerate(self._counts):
-                weights = []
-                for position, weight in self._embedder.weigh(tally):
-                    self._posting_ids[position].append(i)
-                    self._posting_weights[position].append(weight)
-                    weights.append(weight)
-                self._norms.append(_norm(weights))
-            self._counts = None
+            if self._counts is not None:
+                self._postings = _build_postings(self._embedder._positions, self._counts)
+                self._counts = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def _fallback_scores(self, text: str) -> dict[int, float]:
-        """Scores of the entries sharing a token with ``text``."""
+        """Scores of the entries sharing a token with ``text``, from integer counts."""
         self._derive()
-        terms = self._embedder.terms(text)
-        products = defaultdict(list)
-        for position, weight in terms:
-            for i, entry_weight in zip(self._posting_ids[position], self._posting_weights[position]):
-                products[i].append(weight * entry_weight)
-        query_norm = _norm([weight for _, weight in terms])
-        return {i: sum(p) / (query_norm * self._norms[i]) for i, p in products.items()}
+        counts = Counter(text.lower().split())
+        if not counts:
+            raise EmptyTextError("cannot embed empty text")
+        positions, (posting_ids, posting_counts, squares) = self._embedder._positions, self._postings
+        dots = defaultdict(int)
+        q = 0
+        for token, n in counts.items():
+            position = positions.get(token)
+            if position is not None:
+                q += n * n
+                for i, m in zip(posting_ids[position], posting_counts[position]):
+                    dots[i] += n * m
+        return {i: math.sqrt(d * d / (q * squares[i])) for i, d in dots.items()}
 
     def _provider_scores(self, text: str, embedder) -> dict[int, float]:
         if embedder is None:
@@ -327,10 +319,11 @@ class DemoIndex:
         """The k most similar demonstrations with their cosine scores.
 
         The query is truncated exactly like the indexed texts. Ties break by
-        ascending doc id among equal float scores, so retrieval is fully
-        deterministic; but mathematically equal cosines can round to
-        different floats, and then the larger float wins whatever the doc
-        ids. Entries sharing no token with a fallback query score 0.0.
+        ascending doc id among equal scores, so retrieval is fully
+        deterministic. A fallback score is the square root of a correctly
+        rounded ratio of exact integers, so an exact tie of cosines is a tie
+        of scores and goes to the smaller doc id; entries sharing no token
+        with a fallback query score 0.0.
         """
         exclusions = exclusions or frozenset()
         candidates = [(i, e) for i, e in enumerate(self.entries) if e.doc_id not in exclusions]

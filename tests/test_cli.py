@@ -16,7 +16,7 @@ import pytest
 from synthex.annotator import Annotator, build_zero_shot_prompt
 from synthex.cli import RunConfig, build_parser, compute_dataset_stats, main, write_manifest
 from synthex.core import Entity, Schema, dump_jsonl, load_records, record_from_dict, record_to_dict, save_records
-from synthex.demostore import DemoIndex, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
+from synthex.demostore import DemoIndex, ProviderEmbedder, ProviderError, build_index
 from synthex.gateway import ChatGateway, cache_key
 from synthex.inference import InferencePipeline, Prediction, build_inference_prompt, prediction_to_dict
 from synthex.postprocess import build_triple_verification_prompt
@@ -679,6 +679,26 @@ class TestIndexInferEval:
         assert err == f"error: {task_path}: ValueError: duplicate document ids ['q1', 'q2'] in task file\n"
         assert not predictions_path.exists()
 
+    def test_index_rejects_repeated_demonstration_ids(self, tmp_path, capsys):
+        kept = tmp_path / "kept.jsonl"
+        demos = [trivial_record("a", "Alpha beta."), trivial_record("b", "Beta."), trivial_record("a", "Gamma.")]
+        save_records(demos, kept)
+        index_path = tmp_path / "index.json"
+        assert main(["index", "--dataset", str(kept), "--output", str(index_path)]) == 1
+        assert capsys.readouterr() == ("", "error: duplicate demonstration ids ['a']\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.jsonl"]
+
+    def test_infer_rejects_an_index_file_with_repeated_demonstration_ids(self, tmp_path, capsys, uni_vienna_record):
+        task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
+        header, entry = index_path.read_text(encoding="utf-8").splitlines()
+        index_path.write_text(f"{header}\n{entry}\n{entry}\n", encoding="utf-8")
+        capsys.readouterr()
+        code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == "error: duplicate demonstration ids ['uni-vienna']\n"
+        assert not predictions_path.exists()
+        assert not (predictions_path.parent / "infer.manifest.json").exists()
+
     def test_infer_out_of_vocabulary_query_takes_lowest_eligible_demo(self, tmp_path, capsys):
         index, infer = _write_three_demo_task(tmp_path)
         assert main(index) == 0
@@ -698,10 +718,10 @@ class TestIndexInferEval:
         index_path.unlink()
         predictions_path.unlink()
 
-        def refuse(self, counts):
-            raise AssertionError("synthex index weighed a demonstration")
+        def refuse(positions, counts):
+            raise AssertionError("synthex index built the postings")
 
-        monkeypatch.setattr(FallbackEmbedder, "weigh", refuse)
+        monkeypatch.setattr("synthex.demostore._build_postings", refuse)
         assert main(index) == 0
         index_line = capsys.readouterr().out
         monkeypatch.undo()

@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -5,6 +6,8 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -239,22 +242,22 @@ def _corpus(n: int, rng: random.Random, vocab=None):
     return records
 
 
-def _counting_weigh(monkeypatch) -> list:
-    """Log every ``FallbackEmbedder.weigh`` call; returns the log."""
+def _counting_builds(monkeypatch) -> list:
+    """Log every posting build of a fallback index; returns the log."""
     calls = []
-    weigh = FallbackEmbedder.weigh
+    build = demostore._build_postings
 
-    def counted(self, counts):
-        calls.append(counts)
-        return weigh(self, counts)
+    def counted(positions, counts):
+        calls.append(len(counts))
+        return build(positions, counts)
 
-    monkeypatch.setattr(FallbackEmbedder, "weigh", counted)
+    monkeypatch.setattr(demostore, "_build_postings", counted)
     return calls
 
 
 class TestDerivation:
-    """A fallback index weighs its demonstrations once: while loading, or on
-    the first retrieval from a built index, whichever thread asks first."""
+    """A fallback index builds its postings once: while loading, or on the
+    first retrieval from a built index, whichever thread asks first."""
 
     @pytest.mark.parametrize("source", ["built", "loaded"])
     def test_concurrent_first_retrievals_derive_once(self, tmp_path, monkeypatch, source):
@@ -266,10 +269,9 @@ class TestDerivation:
         path = tmp_path / "index.jsonl"
         serial.save(path)
 
-        calls = _counting_weigh(monkeypatch)
+        calls = _counting_builds(monkeypatch)
         index = build_index(records, mode="fallback") if source == "built" else DemoIndex.load(path)
-        if source == "loaded":
-            assert len(calls) == len(records)
+        assert calls == ([len(records)] if source == "loaded" else [])
         barrier = threading.Barrier(len(queries))
         results = [None] * len(queries)
 
@@ -289,7 +291,7 @@ class TestDerivation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == expected
-        assert len(calls) == len(records) + len(queries)
+        assert calls == [len(records)]
 
 
 class TestBuildIndex:
@@ -555,20 +557,38 @@ def _zipf_text(rng: random.Random, words: list[str], weights: list[float], n_wor
     return " ".join(sentences)
 
 
-def _dense_oracle(index: DemoIndex, vectors: list, query: str, excluded=frozenset(), k: int = 3):
-    """Cosine over the dense vectors of every eligible entry, ranked by score
-    descending, then doc id."""
+def _dense_cosines(index: DemoIndex, vectors: dict, query: str, doc_ids) -> list[float]:
+    """Cosine over the dense vectors of the query and each named entry."""
     query_vector = FallbackEmbedder(index.vocabulary).embed(truncate_text(query, index.min_words))
-    scored = [
-        (e.doc_id, cosine(query_vector, vector))
-        for e, vector in zip(index.entries, vectors)
-        if e.doc_id not in excluded
-    ]
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+    return [cosine(query_vector, vectors[doc_id]) for doc_id in doc_ids]
+
+
+def _exact_oracle(records: list, min_words: int):
+    """Ranks the records for a query by the exact squared cosine of their
+    integer token counts, ``Fraction(d * d, q * s)``, descending, then by doc
+    id; each with the score retrieval must give, that fraction rounded once
+    and then its square root."""
+    counts = [Counter(truncate_text(r.text, min_words).lower().split()) for r in records]
+    squares = [sum(n * n for n in entry.values()) for entry in counts]
+    vocabulary = set().union(*counts)
+
+    def rank(query: str, excluded=frozenset(), k: int = 3) -> list[tuple[str, float]]:
+        tally = Counter(truncate_text(query, min_words).lower().split())
+        q = sum(n * n for token, n in tally.items() if token in vocabulary)
+        ranked = []
+        for record, entry, s in zip(records, counts, squares):
+            if record.doc_id not in excluded:
+                d = sum(n * entry[token] for token, n in tally.items() if token in entry)
+                ranked.append((Fraction(d * d, q * s) if d else Fraction(0), record.doc_id))
+        top = heapq.nsmallest(k, ranked, key=lambda pair: (-pair[0], pair[1]))
+        return [(doc_id, math.sqrt(float(exact))) for exact, doc_id in top]
+
+    return rank
 
 
 class TestSparseEquivalence:
-    """The posting-list scores equal the dense cosine scores bit for bit."""
+    """The posting-list scores rank as the exact cosines do, are each the
+    exact cosine rounded, and agree with the dense float cosine to 1e-12."""
 
     def test_matches_dense_cosine(self, tmp_path):
         rng = random.Random(606)
@@ -580,13 +600,17 @@ class TestSparseEquivalence:
             for i in rng.sample(range(300), 300)
         ]
         index = build_index(records, mode="fallback", min_words=40)
-        vectors = [list(e.vector) for e in index.entries]
+        vectors = {e.doc_id: list(e.vector) for e in index.entries}
         exclusions = [frozenset(rng.sample([r.doc_id for r in records], 4)) for _ in range(5)]
         queries = []
         for q in range(500):
             text = _zipf_text(rng, words + ["outside", "lexicon"], weights + [0.5, 0.5], rng.randint(3, 80))
             queries.append((text, exclusions[q % 5] if q % 2 else frozenset()))
-        expected = [_dense_oracle(index, vectors, text, excluded) for text, excluded in queries]
+        oracle = _exact_oracle(records, 40)
+        expected = [oracle(text, excluded) for text, excluded in queries]
+        for (text, _), ranked in zip(queries, expected):
+            cosines = _dense_cosines(index, vectors, text, [doc_id for doc_id, _ in ranked])
+            assert [score for _, score in ranked] == pytest.approx(cosines, abs=1e-12)
 
         path = tmp_path / "index.json"
         index.save(path)
@@ -611,9 +635,11 @@ class TestSparseEquivalence:
             trivial_record("b", "Black white."),
         ]
         index = build_index(records, mode="fallback")
-        vectors = [list(e.vector) for e in index.entries]
+        vectors = {e.doc_id: list(e.vector) for e in index.entries}
         got = index.retrieve_scored("Green sky.", ExclusionList(frozenset({"a"})), k=4)
-        assert [(r.doc_id, s) for r, s in got] == _dense_oracle(index, vectors, "Green sky.", {"a"}, k=4)
+        assert [(r.doc_id, s) for r, s in got] == _exact_oracle(records, index.min_words)("Green sky.", {"a"}, k=4)
+        cosines = _dense_cosines(index, vectors, "Green sky.", [r.doc_id for r, _ in got])
+        assert [s for _, s in got] == pytest.approx(cosines, abs=1e-12)
         assert [r.doc_id for r, _ in got] == ["c", "d", "b", "e"]
         assert [s for _, s in got][2:] == [0.0, 0.0]
 

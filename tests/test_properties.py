@@ -4,8 +4,10 @@ same; rendering then parsing inline markup is lossless or refused; sentence
 splitting, truncation, mention re-anchoring and JSON extraction keep their
 invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
-brace-scanner reference, and the fallback index, built or loaded, with a
-reference that tokenises each text twice; phase-2 filtering drops exactly what its verdicts
+brace-scanner reference, and the fallback index, built or loaded, with an
+exact-fraction reference that tokenises each text twice; every exact tie of
+fallback cosines goes to the smaller doc id; a provider index embeds each
+query as its truncation; phase-2 filtering drops exactly what its verdicts
 decide; every reader of outside bytes raises only its documented error on
 hostile input; ``generate`` through ``cli.main`` accounts for every corpus
 document exactly once; every prediction makes exactly two chat calls, call 2
@@ -20,7 +22,8 @@ import operator
 import random
 import re
 import tempfile
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -48,7 +51,16 @@ from synthex.core import (
     record_from_dict,
     record_to_dict,
 )
-from synthex.demostore import DemoIndex, EmptyTextError, FallbackEmbedder, ProviderEmbedder, ProviderError, build_index
+from synthex.demostore import (
+    DemoIndex,
+    EmptyTextError,
+    FallbackEmbedder,
+    ProviderEmbedder,
+    ProviderError,
+    build_index,
+    cosine,
+    provider_vector,
+)
 from synthex.evaluate import MODE_ALL, MODE_VALID_ONLY, TASKS, evaluate
 from synthex.inference import (
     InferencePipeline,
@@ -485,93 +497,86 @@ def test_extract_json_block_matches_brace_scanner(response):
         assert message == expected_message
 
 
-def _reference_norm(values) -> float:
-    return math.sqrt(sum(map(operator.mul, values, values)))
-
-
-def reference_terms(positions: dict, text: str) -> list[tuple[int, float]]:
-    """FallbackEmbedder.terms as the index build used it before counting once."""
+def reference_counts(vocabulary: set, text: str) -> Counter:
+    """A text's counts of the vocabulary's tokens."""
     tokens = normalize_surface(text).split()
     if not tokens:
         raise EmptyTextError("cannot embed empty text")
-    counts: dict[int, float] = {}
-    for token in tokens:
-        position = positions.get(token)
-        if position is not None:
-            counts[position] = counts.get(position, 0.0) + 1.0
-    ordered = sorted(counts)
-    norm = _reference_norm([counts[p] for p in ordered])
-    return [(p, counts[p] / norm) for p in ordered]
+    return Counter(token for token in tokens if token in vocabulary)
 
 
 def reference_fallback_index(texts: list[str]):
-    """Vocabulary, positions and per-entry ``(terms, norm)`` as the index
-    build derived them before counting once: the vocabulary from one
-    tokenising pass over the texts, the weights from a second."""
+    """The vocabulary and each entry's integer token counts, from two
+    tokenising passes over the texts: the vocabulary from one, the counts
+    from a second."""
     vocabulary = sorted({token for text in texts for token in normalize_surface(text).split()})
-    positions = {token: i for i, token in enumerate(vocabulary)}
-    entries = []
-    for text in texts:
-        terms = reference_terms(positions, text)
-        entries.append((terms, _reference_norm([weight for _, weight in terms])))
-    return vocabulary, positions, entries
+    return vocabulary, [reference_counts(set(vocabulary), text) for text in texts]
 
 
-def reference_scores(positions, entries, query: str) -> dict[int, float]:
-    postings = defaultdict(list)
-    for i, (terms, _) in enumerate(entries):
-        for position, weight in terms:
-            postings[position].append((i, weight))
-    terms = reference_terms(positions, query)
-    products = defaultdict(list)
-    for position, weight in terms:
-        for i, entry_weight in postings[position]:
-            products[i].append(weight * entry_weight)
-    query_norm = _reference_norm([weight for _, weight in terms])
-    return {i: sum(p) / (query_norm * entries[i][1]) for i, p in products.items()}
+def reference_ranking(doc_ids: list[str], entries: list, query: Counter) -> list[tuple[str, str]]:
+    """Every entry's doc id and score, ranked by the exact squared cosine
+    ``Fraction(d * d, q * s)`` of its counts with the query's, descending,
+    then by doc id. The score is that fraction rounded once, then its square
+    root, as ``float.hex()``."""
+    q = sum(n * n for n in query.values())
+    exact = []
+    for doc_id, counts in zip(doc_ids, entries):
+        d = sum(n * counts[token] for token, n in query.items())
+        exact.append((doc_id, Fraction(d * d, q * sum(n * n for n in counts.values())) if d else Fraction(0)))
+    exact.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [(doc_id, math.sqrt(float(squared)).hex()) for doc_id, squared in exact]
 
 
-def hexed(terms) -> list[tuple[int, str]]:
-    return [(position, weight.hex()) for position, weight in terms]
+def assert_retrieval_matches_reference(index: DemoIndex, entries: list, queries: list[str]):
+    """Every query ranks the whole index as the exact reference does, and
+    each score is within 1e-12 of the dense float cosine."""
+    vocabulary = set(index.vocabulary)
+    vectors = {e.doc_id: e.vector for e in index.entries}
+    for query in queries:
+        text = truncate_text(query, index.min_words)
+        try:
+            counts = reference_counts(vocabulary, text)
+        except EmptyTextError:
+            with pytest.raises(EmptyTextError):
+                index.retrieve_scored(query, k=len(entries))
+            continue
+        got = index.retrieve_scored(query, k=len(entries))
+        ranked = [(r.doc_id, score.hex()) for r, score in got]
+        assert ranked == reference_ranking([e.doc_id for e in index.entries], entries, counts)
+        if counts:
+            vector = FallbackEmbedder(index.vocabulary).embed(text)
+            assert [score for _, score in got] == pytest.approx(
+                [cosine(vector, vectors[r.doc_id]) for r, _ in got], abs=1e-12
+            )
 
 
 MIN_WORDS = 8
 worded_prose = prose.filter(str.split)
 
 
+def plain_records(texts: list[str], doc_ids=None) -> list[AnnotationRecord]:
+    return [
+        AnnotationRecord(doc_id=doc_id, text=text, annotated_text=text, entities=(), mentions=(), triples=(),
+                         entity_types=(), relation_types=())
+        for doc_id, text in zip(doc_ids or [f"d{i}" for i in range(len(texts))], texts)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4))
 @example(["Alpha beta.", " \x85 "], ["beta"])
-@example(["Fff eee h j aa eee hh jjj."], ["eee"])  # its norm depends on the order of the weights
+@example(["Fff eee h j aa eee hh jjj."], ["eee"])
 def test_fallback_index_matches_the_two_pass_reference(texts, queries):
-    records = [
-        AnnotationRecord(doc_id=f"d{i}", text=text, annotated_text=text, entities=(), mentions=(), triples=(),
-                         entity_types=(), relation_types=())
-        for i, text in enumerate(texts)
-    ]
-    truncated = [truncate_text(text, MIN_WORDS) for text in texts]
+    records = plain_records(texts)
     try:
-        vocabulary, positions, entries = reference_fallback_index(truncated)
+        vocabulary, entries = reference_fallback_index([truncate_text(text, MIN_WORDS) for text in texts])
     except EmptyTextError:
         with pytest.raises(EmptyTextError):
             build_index(records, mode="fallback", min_words=MIN_WORDS)
         return
     index = build_index(records, mode="fallback", min_words=MIN_WORDS)
     assert index.vocabulary == vocabulary
-    assert [hexed(e.terms) for e in index.entries] == [hexed(terms) for terms, _ in entries]
-    assert [e.norm.hex() for e in index.entries] == [norm.hex() for _, norm in entries]
-    for query in queries:
-        try:
-            scores = reference_scores(positions, entries, truncate_text(query, MIN_WORDS))
-        except EmptyTextError:
-            with pytest.raises(EmptyTextError):
-                index.retrieve_scored(query, k=len(texts))
-            continue
-        assert hexed(FallbackEmbedder(index.vocabulary).terms(query)) == hexed(reference_terms(positions, query))
-        expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
-        got = index.retrieve_scored(query, k=len(texts))
-        assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
-
+    assert_retrieval_matches_reference(index, entries, queries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,14 +584,10 @@ def test_fallback_index_matches_the_two_pass_reference(texts, queries):
 @example(["Fff eee h j aa eee hh jjj."], ["eee"])
 def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries):
     """The reference check above on an index saved and loaded back, which
-    derives its weights while loading rather than on its first retrieval."""
-    records = [
-        AnnotationRecord(doc_id=f"d{i}", text=text, annotated_text=text, entities=(), mentions=(), triples=(),
-                         entity_types=(), relation_types=())
-        for i, text in enumerate(texts)
-    ]
+    builds its postings while loading rather than on its first retrieval."""
+    records = plain_records(texts)
     try:
-        vocabulary, positions, entries = reference_fallback_index([truncate_text(t, MIN_WORDS) for t in texts])
+        vocabulary, entries = reference_fallback_index([truncate_text(t, MIN_WORDS) for t in texts])
     except EmptyTextError:
         return
     with tempfile.TemporaryDirectory() as tmp:
@@ -594,16 +595,93 @@ def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries):
         build_index(records, mode="fallback", min_words=MIN_WORDS).save(path)
         index = DemoIndex.load(path)
     assert index.vocabulary == vocabulary
-    assert [hexed(e.terms) for e in index.entries] == [hexed(terms) for terms, _ in entries]
-    assert [e.norm.hex() for e in index.entries] == [norm.hex() for _, norm in entries]
-    for query in queries:
-        try:
-            scores = reference_scores(positions, entries, truncate_text(query, MIN_WORDS))
-        except EmptyTextError:
-            continue
-        expected = sorted(((f"d{i}", scores.get(i, 0.0)) for i in range(len(texts))), key=lambda p: (-p[1], p[0]))
+    assert_retrieval_matches_reference(index, entries, queries)
+
+
+TIED_TOKENS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+SHARED_TOKENS = ["eta", "theta", "iota"]
+
+
+def counted_text(counts: dict, order) -> str:
+    """A text holding each token as often as ``counts`` says, in an order drawn by ``order``."""
+    return " ".join(order([token for token, n in counts.items() for _ in range(n)]))
+
+
+@st.composite
+def tied_indexes(draw):
+    """Demonstrations whose counts of the tied tokens are permutations of one
+    another and whose counts of the other tokens are all the same, a few
+    other demonstrations, doc ids shuffled against index order, and a query
+    that counts every tied token equally: so the permuted demonstrations tie
+    exactly. Returns the texts, the doc ids, the query and the doc ids of the
+    tied demonstrations."""
+    tied = TIED_TOKENS[: draw(st.integers(2, len(TIED_TOKENS)))]
+    base = draw(st.lists(st.integers(0, 4), min_size=len(tied), max_size=len(tied)).filter(any))
+    shared = draw(st.dictionaries(st.sampled_from(SHARED_TOKENS), st.integers(1, 3)))
+    permuted = draw(st.lists(st.permutations(base), min_size=2, max_size=6))
+    demos = [{**dict(zip(tied, counts)), **shared} for counts in permuted]
+    any_counts = st.dictionaries(st.sampled_from(TIED_TOKENS + SHARED_TOKENS), st.integers(1, 4), min_size=1)
+    others = draw(st.lists(any_counts, max_size=3))
+    n_query = draw(st.integers(1, 3))
+    query = {token: n_query for token in tied}
+    query.update(draw(st.dictionaries(st.sampled_from(SHARED_TOKENS), st.integers(1, 3))))
+    order = lambda words: draw(st.permutations(words))
+    doc_ids = draw(st.permutations([f"p{i:02d}" for i in range(len(demos) + len(others))]))
+    texts = [counted_text(counts, order) for counts in demos + others]
+    return texts, doc_ids, counted_text(query, order), doc_ids[: len(demos)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_indexes())
+@example((["beta delta epsilon epsilon epsilon", "beta delta delta delta epsilon"], ["p01", "p00"],
+          "alpha beta gamma delta epsilon", ["p01", "p00"]))
+def test_exact_ties_go_to_the_smaller_doc_id(case):
+    """Permuted token counts under a query symmetric in those tokens give
+    mathematically equal cosines; each such tie, like every other exact tie,
+    ranks by ascending doc id, in a built index and in one loaded back."""
+    texts, doc_ids, query, tied_ids = case
+    records = plain_records(texts, doc_ids)
+    built = build_index(records, mode="fallback", min_words=1000)
+    _, entries = reference_fallback_index(texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.jsonl"
+        built.save(path)
+        loaded = DemoIndex.load(path)
+    for index in (built, loaded):
         got = index.retrieve_scored(query, k=len(texts))
-        assert [(r.doc_id, score.hex()) for r, score in got] == [(d, score.hex()) for d, score in expected]
+        assert len({score for r, score in got if r.doc_id in tied_ids}) == 1
+        expected = reference_ranking(doc_ids, entries, reference_counts(set(index.vocabulary), query))
+        assert [(r.doc_id, score.hex()) for r, score in got] == expected
+
+
+class ScriptedEmbedder:
+    """An embeddings provider that logs every text it is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def embed(self, text: str) -> list[float]:
+        self.sent.append(text)
+        return provider_vector([1.0, len(text) % 7])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(worded_prose, min_size=1, max_size=4), prose, st.integers(1, 30), st.booleans())
+def test_provider_query_is_embedded_as_its_truncation(texts, query, min_words, reload):
+    """A provider index sends the embedder each demonstration's truncation
+    and each query's, truncated by the index's ``min_words``, built or
+    loaded back."""
+    embedder = ScriptedEmbedder()
+    index = build_index(plain_records(texts), mode="provider", embedder=embedder, min_words=min_words)
+    assert embedder.sent == [truncate_text(text, min_words) for text in texts]
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            index.save(Path(tmp) / "index.jsonl")
+            index = DemoIndex.load(Path(tmp) / "index.jsonl")
+    del embedder.sent[:]
+    index.retrieve_scored(query, k=len(texts), embedder=embedder)
+    assert embedder.sent == [truncate_text(query, min_words)]
+
 
 # A verdict response and the letter it stands for; None is no boxed letter.
 VERDICT_RESPONSES = [
