@@ -37,7 +37,7 @@ import heapq
 import math
 import operator
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -287,7 +287,7 @@ class DemoIndex:
         if not counts:
             raise EmptyTextError("cannot embed empty text")
         positions, (posting_ids, posting_counts, squares) = self._embedder._positions, self._postings
-        dots = defaultdict(int)
+        dots = [0] * len(squares)
         q = 0
         for token, n in counts.items():
             position = positions.get(token)
@@ -295,7 +295,7 @@ class DemoIndex:
                 q += n * n
                 for i, m in zip(posting_ids[position], posting_counts[position]):
                     dots[i] += n * m
-        return {i: math.sqrt(d * d / (q * squares[i])) for i, d in dots.items()}
+        return {i: math.sqrt(d * d / (q * squares[i])) for i, d in enumerate(dots) if d}
 
     def _provider_scores(self, text: str, embedder) -> dict[int, float]:
         if embedder is None:
@@ -308,6 +308,15 @@ class DemoIndex:
             i: _dot(query, entry.stored_vector) / (query_norm * norm)
             for i, (entry, norm) in enumerate(zip(self.entries, self._norms))
         }
+
+    def resolve_exclusions(self, exclusions: ExclusionList | None) -> ExclusionList:
+        """The ids in ``exclusions`` that name an entry of this index; raises
+        :class:`EmptyIndexError` when they name every entry."""
+        exclusions = exclusions or frozenset()
+        named = ExclusionList(e.doc_id for e in self.entries if e.doc_id in exclusions)
+        if len(named) == len(self.entries):
+            raise EmptyIndexError("no index entries remain after exclusions")
+        return named
 
     def retrieve_scored(
         self,
@@ -323,20 +332,26 @@ class DemoIndex:
         deterministic. A fallback score is the square root of a correctly
         rounded ratio of exact integers, so an exact tie of cosines is a tie
         of scores and goes to the smaller doc id; entries sharing no token
-        with a fallback query score 0.0.
+        with a fallback query score 0.0, so only the entries that scored are
+        ranked, and the others fill what is left of k in doc-id order.
         """
         exclusions = exclusions or frozenset()
-        candidates = [(i, e) for i, e in enumerate(self.entries) if e.doc_id not in exclusions]
-        if not candidates:
-            raise EmptyIndexError("no index entries remain after exclusions")
+        if len(exclusions) >= len(self.entries):  # only then can they name every entry
+            exclusions = self.resolve_exclusions(exclusions)
         text = truncate_text(query_text, self.min_words)
         if self.mode == "fallback":
             scores = self._fallback_scores(text)
         else:
             scores = self._provider_scores(text, embedder)
-        scored = [(scores.get(i, 0.0), entry) for i, entry in candidates]
-        top = heapq.nsmallest(k, scored, key=lambda pair: (-pair[0], pair[1].doc_id))
-        return [(entry.record, score) for score, entry in top]
+        entries = self.entries
+        top = heapq.nsmallest(k, [
+            (-score, doc_id, i) for i, score in scores.items() if (doc_id := entries[i].doc_id) not in exclusions
+        ])
+        if len(top) < k:  # then entries that scored nothing, by doc id
+            top += heapq.nsmallest(k - len(top), [
+                (0.0, e.doc_id, i) for i, e in enumerate(entries) if i not in scores and e.doc_id not in exclusions
+            ])
+        return [(entries[i].record, scores.get(i, 0.0)) for _, _, i in top]
 
     def retrieve(
         self,
@@ -390,7 +405,10 @@ class DemoIndex:
         if not entries:
             raise ValueError(f"{path}: an index file holds a header line and at least one entry")
         records, texts, vectors = (list(column) for column in zip(*entries))
-        index = cls(header["mode"], records, texts, header["min_words"], vectors)
+        try:
+            index = cls(header["mode"], records, texts, header["min_words"], vectors)
+        except (ValueError, SynthexError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         index._derive()
         return index
 

@@ -255,7 +255,7 @@ def map_contained(fn, items, parallelism: int) -> list[tuple]:
 
 # --- response text utilities -------------------------------------------------
 
-_JSON_FENCE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
+_JSON_FENCE_OPEN = re.compile(r"```json\s*\n")
 _BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
 _DECODER = json.JSONDecoder()
 # The deepest nesting a response may hold. The decoder's own limit is the
@@ -288,16 +288,19 @@ def extract_json_block(response: str):
     """The decoded JSON payload of a model response; the one place a
     response is decoded.
 
-    Prefers the first fenced block labeled ``json``; otherwise takes the first
-    object the stdlib decoder reads from the first ``{``. The payload must be
-    strict JSON: single-quoted pseudo-JSON is a syntax error, not something to
-    repair, and so are nesting deeper than :data:`MAX_JSON_DEPTH`, whatever
-    stack the caller runs on, and an integer over the interpreter's digit limit.
+    Prefers the first fenced block labeled ``json``, which ends at the next
+    three backticks; a fence that never closes counts as none. Otherwise
+    takes the first object the stdlib decoder reads from the first ``{``.
+    The payload must be strict JSON: single-quoted pseudo-JSON is a syntax
+    error, not something to repair, and so are nesting deeper than
+    :data:`MAX_JSON_DEPTH`, whatever stack the caller runs on, and an integer
+    over the interpreter's digit limit.
     """
-    fence = _JSON_FENCE.search(response)
+    fence = _JSON_FENCE_OPEN.search(response)
+    close = -1 if fence is None else response.find("```", fence.end())
     try:
-        if fence is not None:
-            candidate = fence.group(1).strip()
+        if close != -1:
+            candidate = response[fence.end():close].strip()
             _check_depth(candidate)
             return json.loads(candidate)
         start = response.find("{")

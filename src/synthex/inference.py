@@ -7,6 +7,9 @@ correctly formatted beginning drastically reduces format failures on long
 documents. Call-1 failure is tolerated — the pipeline proceeds with an empty
 partial — but a call-2 parse or echo failure makes the whole prediction
 invalid: there are no partially trusted outputs.
+
+A pipeline renders each demonstration's prompt block once per run and reuses
+it for both calls of every query that retrieves that demonstration.
 """
 
 from __future__ import annotations
@@ -83,22 +86,29 @@ def _prompt_block(text: str, types, markup: str, entities, triples) -> str:
     }, indent=4, ensure_ascii=False)
 
 
+def _demo_block(demo: AnnotationRecord) -> str:
+    """The demonstration's block, with its own type inventories."""
+    return _prompt_block(demo.text, demo, demo.annotated_text, demo.entities, demo.triples)
+
+
 def build_inference_prompt(
     demo: AnnotationRecord,
     partial: PartialAnnotation | None,
     query_text: str,
     schema: Schema,
+    demo_block: str | None = None,
 ) -> str:
     """Fill the in-context template with a demonstration and the query block.
 
     The demonstration keeps its own type inventories; the query block carries
     the task schema. When a partial is given its annotations are pre-filled so
-    the model extends rather than restarts.
+    the model extends rather than restarts. ``demo_block``, when given, is
+    ``demo``'s block already rendered.
     """
     schema.require_nonempty()
     partial = partial or PartialAnnotation()
     return fill_template(INFERENCE_TEMPLATE, {
-        "demo_block": _prompt_block(demo.text, demo, demo.annotated_text, demo.entities, demo.triples),
+        "demo_block": demo_block or _demo_block(demo),
         "query_block": _prompt_block(query_text, schema, partial.text_with_spans, partial.entities, partial.triples),
     })
 
@@ -142,7 +152,7 @@ def _reanchor_mentions(
             dropped += 1
             continue
         cursor = index + len(m.surface)
-        anchored.append(replace(m, span=Span(index, cursor)))
+        anchored.append(Mention(m.entity_id, Span(index, cursor), m.surface, m.type_label))
     return anchored, dropped
 
 
@@ -235,24 +245,28 @@ class InferencePipeline:
     ):
         self.gateway = gateway
         self.index = index
-        self.exclusions = exclusions or frozenset()
+        self.exclusions = index.resolve_exclusions(exclusions)
         self.embedder = embedder
+        self._demo_blocks: dict[str, str] = {}  # by doc id; racing threads write equal strings
         # Both calls run at temperature 0 and there is no retry: validity
         # rates are a headline metric and silent retries would distort them.
         self.params = GenerationParams(temperature=0.0, model_name=model_name, max_tokens=max_tokens)
 
     def infer(self, doc: SourceDocument, schema: Schema) -> Prediction:
         demo = self.index.retrieve(doc.text, self.exclusions, k=1, embedder=self.embedder)[0]
+        demo_block = self._demo_blocks.get(demo.doc_id)
+        if demo_block is None:
+            demo_block = self._demo_blocks[demo.doc_id] = _demo_block(demo)
 
         fragment = first_fragment(doc)
-        prompt_1 = build_inference_prompt(demo, None, fragment, schema)
+        prompt_1 = build_inference_prompt(demo, None, fragment, schema, demo_block)
         response_1 = self.gateway.complete(prompt_1, self.params)
         try:
             partial = replace(parse_annotation_response(response_1), text=fragment)
         except UnreadableResponseError:
             partial = None  # call 1 is an aid, not a gate: call 2 starts from an empty annotation
 
-        prompt_2 = build_inference_prompt(demo, partial, doc.text, schema)
+        prompt_2 = build_inference_prompt(demo, partial, doc.text, schema, demo_block)
         response_2 = self.gateway.complete(prompt_2, self.params)
         responses = (response_1, response_2)
         try:

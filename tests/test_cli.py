@@ -545,23 +545,30 @@ class TestIndexInferEval:
         assert report["all_docs"]["tasks"]["re_strict"]["f1"] == 100.0
         assert report["all_docs"]["valid_rate"] == 100.0
 
-    def test_infer_with_everything_excluded(self, tmp_path, capsys, uni_vienna_record):
+    def test_infer_with_everything_excluded(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        """The pipeline resolves its exclusions before any document: no model
+        request, no predictions and no manifest."""
         task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
         exclusions = tmp_path / "exclusions.txt"
-        exclusions.write_text("uni-vienna\n", encoding="utf-8")
-        config = _write_config(tmp_path)
+        exclusions.write_text("uni-vienna\nnot-in-the-index\n", encoding="utf-8")
+        requests = []
+        monkeypatch.setattr(ChatGateway, "complete", lambda self, *args: requests.append(args))
+        output = tmp_path / "out" / "p.jsonl"
+        capsys.readouterr()
         code = main(
             [
                 "infer",
                 "--task", str(task_path),
                 "--index", str(index_path),
-                "--output", str(tmp_path / "p.jsonl"),
+                "--output", str(output),
                 "--exclusions", str(exclusions),
-                "--config", str(config),
+                "--config", str(_write_config(tmp_path, gateway_mode="record")),
             ]
         )
         assert code == 1
-        assert "no index entries remain" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no index entries remain after exclusions\n"
+        assert requests == []
+        assert not output.parent.exists()
 
     def _infer(self, tmp_path, task_path, index_path, config):
         predictions_path = tmp_path / "predictions.jsonl"
@@ -695,7 +702,7 @@ class TestIndexInferEval:
         capsys.readouterr()
         code, predictions_path = self._infer(tmp_path, task_path, index_path, _write_config(tmp_path))
         assert code == 1
-        assert capsys.readouterr().err == "error: duplicate demonstration ids ['uni-vienna']\n"
+        assert capsys.readouterr().err == f"error: {index_path}: duplicate demonstration ids ['uni-vienna']\n"
         assert not predictions_path.exists()
         assert not (predictions_path.parent / "infer.manifest.json").exists()
 
@@ -1210,7 +1217,8 @@ CHARS_RANGE = f"truncated_chars must be in 1..{len(UNI_VIENNA_DICT['text'])}"
 class TestMalformedIndexFiles:
     """An index file whose header line is not an object, that holds no entry
     line, or that holds an entry or header field of the wrong shape is
-    refused, naming the file and line, before any model call."""
+    refused, naming the file and line, before any model call; one whose
+    entries the index refuses together is refused naming the file."""
 
     @pytest.mark.parametrize("content, message", [
         ("[]\n", "line 1 is not a JSON object"),
@@ -1252,9 +1260,16 @@ class TestMalformedIndexFiles:
          "line 1: ValueError: an index file's mode is one of"),
         (lambda header, entry: header.update(min_words="x"),
          "line 1: ValueError: an index file's min_words is a positive integer, not 'x'"),
+        # The index refuses these once every line has read: the file, no line.
+        (lambda header, entry: [header, {"truncated_chars": 2, "record": {
+            **entry["record"], "text": " \n" + entry["record"]["text"]}}],
+         "cannot embed empty text"),
+        (lambda header, entry: [{**header, "mode": "provider"}, {**entry, "vector": [0.6, 0.8]},
+                                {**entry, "record": {**entry["record"], "doc_id": "other"}, "vector": [1.0]}],
+         "doc other: vector dimension 1 != 2"),
     ], ids=["entry-not-object", "record-text-type", "truncated-chars-type", "negative", "zero", "past-end",
             "vector-item-type", "vector-string", "vector-bools", "vector-item-range", "vector-nan", "no-mode",
-            "min-words-type"])
+            "min-words-type", "whitespace-prefix", "vector-dimension"])
     def test_bad_entry_or_field_reported(self, tmp_path, capsys, uni_vienna_record, edit, message):
         task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record)
         index_path = tmp_path / "index.json"

@@ -1,11 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
-from synthex.annotator import truncate_text, word_count
+from synthex import inference
+from synthex.annotator import parse_annotation_response, truncate_text, word_count
+from synthex.cli import main
 from synthex.core import Entity, Schema, SourceDocument, Triple
-from synthex.demostore import build_index
+from synthex.demostore import EmptyIndexError, ExclusionList, build_index
 from synthex.inference import (
     InferencePipeline,
     PartialAnnotation,
@@ -18,7 +21,7 @@ from synthex.inference import (
     prediction_to_dict,
 )
 
-from conftest import params_for, replay_gateway, trivial_record
+from conftest import ChatStubHandler, good_annotation_response, params_for, replay_gateway, trivial_record
 
 MODEL = "test-model"
 SCHEMA = Schema.from_lists(["Person", "Organization"], ["member_of", "founded_by"])
@@ -357,6 +360,91 @@ class TestInferDocument:
         assert [e.name for e in prediction.entities] == ["Alice Rivera", "Harbor Institute"]
         assert len(prediction.triples) == 1  # Bob's membership triple went with him
         assert prediction.provenance["schema_drops"]["entities"] == 1
+
+
+DEMOS = [trivial_record("d0", "Alpha beta gamma."), trivial_record("d1", "Delta epsilon zeta.")]
+QUERIES = [
+    SourceDocument(id="q0", text="Alpha beta.\n\nGamma again."),
+    SourceDocument(id="q1", text="Delta zeta.\n\nEpsilon once more."),
+    SourceDocument(id="q2", text="Gamma alpha."),
+    SourceDocument(id="q3", text="Beta beta gamma.\n\nAlpha."),
+]
+
+
+class AnnotatingGateway:
+    """Answers each prompt by annotating the first word of its query block's
+    text, and keeps every prompt."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return good_annotation_response(_json_blocks(prompt)[1]["text"])
+
+
+class TestDemonstrationBlocks:
+    def test_each_demonstration_block_is_rendered_once(self, monkeypatch):
+        rendered = []
+        render = inference._demo_block
+        monkeypatch.setattr(inference, "_demo_block", lambda demo: rendered.append(demo.doc_id) or render(demo))
+        pipeline = InferencePipeline(AnnotatingGateway(), build_index(DEMOS), MODEL)
+        predictions = [pipeline.infer(doc, SCHEMA) for doc in QUERIES * 3]
+        assert [p.provenance["demo_doc_id"] for p in predictions[:4]] == ["d0", "d1", "d0", "d0"]
+        assert rendered == ["d0", "d1"]
+
+    def test_both_prompts_are_those_build_inference_prompt_writes(self):
+        gateway = AnnotatingGateway()
+        index = build_index(DEMOS)
+        pipeline = InferencePipeline(gateway, index, MODEL)
+        expected = []
+        for doc in QUERIES * 2:
+            assert pipeline.infer(doc, SCHEMA).valid
+            demo, fragment = index.retrieve(doc.text)[0], first_fragment(doc)
+            partial = replace(parse_annotation_response(good_annotation_response(fragment)), text=fragment)
+            expected += [
+                build_inference_prompt(demo, None, fragment, SCHEMA),
+                build_inference_prompt(demo, partial, doc.text, SCHEMA),
+            ]
+        assert gateway.prompts == expected
+
+    def test_a_pipeline_with_every_entry_excluded_is_refused(self):
+        with pytest.raises(EmptyIndexError, match="no index entries remain after exclusions"):
+            InferencePipeline(AnnotatingGateway(), build_index(DEMOS), MODEL, ExclusionList({"d0", "d1", "d9"}))
+
+    def test_record_run_on_two_workers_writes_what_one_worker_does(self, tmp_path, stub_server):
+        build_index(DEMOS).save(tmp_path / "index.jsonl")
+        # A query of one paragraph would send call 2's prompt as call 1.
+        queries = [doc for doc in QUERIES if "\n\n" in doc.text]
+        task = {
+            "schema": {"entity_types": list(SCHEMA.entity_types), "relation_types": list(SCHEMA.relation_types)},
+            "documents": [{"id": f"{doc.id}-{n}", "text": doc.text} for n in range(3) for doc in queries],
+        }
+        (tmp_path / "task.json").write_text(json.dumps(task), encoding="utf-8")
+        index = build_index(DEMOS)
+        # Call 1 gets an unreadable reply, so call 2 starts from no partial.
+        ChatStubHandler.replies = {
+            (build_inference_prompt(index.retrieve(doc.text)[0], None, doc.text, SCHEMA), 0.0):
+                good_annotation_response(doc.text)
+            for doc in queries
+        }
+        (tmp_path / "config.json").write_text(json.dumps({
+            "model_name": MODEL, "gateway_mode": "record", "chat_base_url": stub_server,
+        }), encoding="utf-8")
+        for workers in ("1", "2"):
+            assert main([
+                "infer", "--task", str(tmp_path / "task.json"), "--index", str(tmp_path / "index.jsonl"),
+                "--output", str(tmp_path / workers / "predictions.jsonl"), "--cache", str(tmp_path / workers / "cache"),
+                "--parallelism", workers, "--config", str(tmp_path / "config.json"),
+            ]) == 0
+        one, two = tmp_path / "1", tmp_path / "2"
+        predictions = (one / "predictions.jsonl").read_text(encoding="utf-8")
+        assert sum(json.loads(line)["valid"] for line in predictions.splitlines()) == len(task["documents"])
+        assert (two / "predictions.jsonl").read_text(encoding="utf-8") == predictions
+        entries = sorted(path.name for path in (one / "cache").iterdir())
+        assert len(entries) == 2 * len(queries)
+        assert sorted(path.name for path in (two / "cache").iterdir()) == entries
+        assert all((one / "cache" / name).read_bytes() == (two / "cache" / name).read_bytes() for name in entries)
 
 
 class TestReanchorMentions:

@@ -4,8 +4,9 @@ same; rendering then parsing inline markup is lossless or refused; sentence
 splitting, truncation, mention re-anchoring and JSON extraction keep their
 invariants on adversarial text; the sentence scanner
 agrees with a character-by-character reference, JSON extraction with a
-brace-scanner reference, and the fallback index, built or loaded, with an
-exact-fraction reference that tokenises each text twice; every exact tie of
+brace-scanner reference and its fence rule with the lazy regex it replaced,
+and the fallback index, built or loaded, with an exact-fraction reference
+that tokenises each text twice, under any exclusions and k; every exact tie of
 fallback cosines goes to the smaller doc id; a provider index embeds each
 query as its truncation; phase-2 filtering drops exactly what its verdicts
 decide; every reader of outside bytes raises only its documented error on
@@ -53,7 +54,9 @@ from synthex.core import (
 )
 from synthex.demostore import (
     DemoIndex,
+    EmptyIndexError,
     EmptyTextError,
+    ExclusionList,
     FallbackEmbedder,
     ProviderEmbedder,
     ProviderError,
@@ -497,6 +500,40 @@ def test_extract_json_block_matches_brace_scanner(response):
         assert message == expected_message
 
 
+# extract_json_block's fence rule as a regex: the function scans for the
+# closing fence instead, since the lazy group steps one character at a time.
+REGEX_FENCE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
+
+
+def regex_fenced_json_block(response: str):
+    """Reference for extract_json_block: the fenced block REGEX_FENCE finds,
+    else the object the stdlib decoder reads from the first ``{``."""
+    fence = REGEX_FENCE.search(response)
+    start = response.find("{")
+    if fence is None and start == -1:
+        raise NoJsonFoundError("response contains no JSON object")
+    try:
+        if fence is not None:
+            return json.loads(fence.group(1).strip())
+        return json.JSONDecoder().raw_decode(response[start:])[0]
+    except ValueError as exc:
+        raise ResponseSyntaxError(f"candidate is not strict JSON: {exc}") from exc
+
+
+fence_heavy = st.lists(
+    st.sampled_from(["```", "```json", "`", "\n", "\r", "\t", "\x85", "\xa0", " ", "{", "{", "}", '"a"', ":", "1"]),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(fence_heavy)
+@example('```json\n{"a": 1}')  # an unclosed first fence: the first { decides
+@example('```json \n\t\n\x85\n {"a": 1}``` ```json\n{}```')  # the block starts after the last newline
+def test_extract_json_block_fence_rule_matches_the_regex(response):
+    assert outcome(extract_json_block, response) == outcome(regex_fenced_json_block, response)
+
+
 def reference_counts(vocabulary: set, text: str) -> Counter:
     """A text's counts of the vocabulary's tokens."""
     tokens = normalize_surface(text).split()
@@ -527,22 +564,30 @@ def reference_ranking(doc_ids: list[str], entries: list, query: Counter) -> list
     return [(doc_id, math.sqrt(float(squared)).hex()) for doc_id, squared in exact]
 
 
-def assert_retrieval_matches_reference(index: DemoIndex, entries: list, queries: list[str]):
-    """Every query ranks the whole index as the exact reference does, and
-    each score is within 1e-12 of the dense float cosine."""
+def assert_retrieval_matches_reference(index: DemoIndex, entries: list, queries: list[str], excluded: set, k: int):
+    """Every query ranks its top ``k`` of the entries not ``excluded`` as the
+    exact reference does, and each score is within 1e-12 of the dense float
+    cosine."""
     vocabulary = set(index.vocabulary)
     vectors = {e.doc_id: e.vector for e in index.entries}
+    doc_ids = [e.doc_id for e in index.entries]
+    exclusions = ExclusionList(excluded)
     for query in queries:
+        if set(doc_ids) <= exclusions:
+            with pytest.raises(EmptyIndexError):
+                index.retrieve_scored(query, exclusions, k=k)
+            continue
         text = truncate_text(query, index.min_words)
         try:
             counts = reference_counts(vocabulary, text)
         except EmptyTextError:
             with pytest.raises(EmptyTextError):
-                index.retrieve_scored(query, k=len(entries))
+                index.retrieve_scored(query, exclusions, k=k)
             continue
-        got = index.retrieve_scored(query, k=len(entries))
+        got = index.retrieve_scored(query, exclusions, k=k)
         ranked = [(r.doc_id, score.hex()) for r, score in got]
-        assert ranked == reference_ranking([e.doc_id for e in index.entries], entries, counts)
+        reference = reference_ranking(doc_ids, entries, counts)
+        assert ranked == [pair for pair in reference if pair[0] not in exclusions][:k]
         if counts:
             vector = FallbackEmbedder(index.vocabulary).embed(text)
             assert [score for _, score in got] == pytest.approx(
@@ -562,11 +607,18 @@ def plain_records(texts: list[str], doc_ids=None) -> list[AnnotationRecord]:
     ]
 
 
+# Doc ids to exclude (d6 names no entry) and a k, for the reference checks.
+excluded_ids = st.sets(st.sampled_from([f"d{i}" for i in range(7)]))
+ks = st.integers(1, 6)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4))
-@example(["Alpha beta.", " \x85 "], ["beta"])
-@example(["Fff eee h j aa eee hh jjj."], ["eee"])
-def test_fallback_index_matches_the_two_pass_reference(texts, queries):
+@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4), excluded_ids, ks)
+@example(["Alpha beta.", " \x85 "], ["beta"], set(), 6)
+@example(["Fff eee h j aa eee hh jjj."], ["eee"], set(), 1)
+@example(["Alpha beta.", "Gamma.", "Beta gamma."], ["delta", "alpha"], {"d0", "d6"}, 2)
+@example(["Alpha beta.", "Gamma."], ["alpha"], {"d0", "d1"}, 1)
+def test_fallback_index_matches_the_two_pass_reference(texts, queries, excluded, k):
     records = plain_records(texts)
     try:
         vocabulary, entries = reference_fallback_index([truncate_text(text, MIN_WORDS) for text in texts])
@@ -576,13 +628,13 @@ def test_fallback_index_matches_the_two_pass_reference(texts, queries):
         return
     index = build_index(records, mode="fallback", min_words=MIN_WORDS)
     assert index.vocabulary == vocabulary
-    assert_retrieval_matches_reference(index, entries, queries)
+    assert_retrieval_matches_reference(index, entries, queries, excluded, k)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4))
-@example(["Fff eee h j aa eee hh jjj."], ["eee"])
-def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries):
+@given(st.lists(worded_prose, min_size=1, max_size=6), st.lists(prose, max_size=4), excluded_ids, ks)
+@example(["Fff eee h j aa eee hh jjj."], ["eee"], set(), 1)
+def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries, excluded, k):
     """The reference check above on an index saved and loaded back, which
     builds its postings while loading rather than on its first retrieval."""
     records = plain_records(texts)
@@ -595,7 +647,7 @@ def test_loaded_fallback_index_matches_the_two_pass_reference(texts, queries):
         build_index(records, mode="fallback", min_words=MIN_WORDS).save(path)
         index = DemoIndex.load(path)
     assert index.vocabulary == vocabulary
-    assert_retrieval_matches_reference(index, entries, queries)
+    assert_retrieval_matches_reference(index, entries, queries, excluded, k)
 
 
 TIED_TOKENS = ["alpha", "beta", "gamma", "delta", "epsilon"]
