@@ -63,10 +63,6 @@ class SourceDocument:
         if not self.text.strip():
             raise ValueError(f"document {self.id!r}: text must be non-empty")
 
-    @property
-    def paragraphs(self) -> list[str]:
-        return split_paragraphs(self.text)
-
     def to_dict(self) -> dict:
         return {"id": self.id, "title": self.title, "text": self.text}
 

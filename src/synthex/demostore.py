@@ -93,6 +93,16 @@ class Embedding(list):
     __slots__ = ("norm",)
 
 
+def _token_counts(text: str) -> Counter:
+    """A text's tokens, lowercased and split on whitespace, counted: the one
+    tokenising rule for demonstrations and queries alike. A text with no
+    token cannot be embedded."""
+    counts = Counter(text.lower().split())
+    if not counts:
+        raise EmptyTextError("cannot embed empty text")
+    return counts
+
+
 def _scorable_norm(vector) -> float:
     """The norm of a stored or query vector, which scoring divides by: it
     must be finite and positive. Tiny components can underflow it to 0.0,
@@ -138,9 +148,7 @@ class FallbackEmbedder:
         return len(self.vocabulary)
 
     def embed(self, text: str) -> list[float]:
-        counts = Counter(text.lower().split())
-        if not counts:
-            raise EmptyTextError("cannot embed empty text")
+        counts = _token_counts(text)
         positions = self._positions
         tallies = sorted([(positions[token], n) for token, n in counts.items() if token in positions])
         if not tallies:
@@ -166,8 +174,7 @@ class ProviderEmbedder:
         self.api_key = api_key
 
     def embed(self, text: str) -> list[float]:
-        if not text.strip():
-            raise EmptyTextError("cannot embed empty text")
+        _token_counts(text)  # refuses a text with no token before any request
         try:
             raw = post_json(
                 f"{self.base_url}/embeddings",
@@ -245,9 +252,7 @@ class DemoIndex:
             raise ValueError(f"duplicate demonstration ids {duplicates}")
         if mode == "fallback":
             # One tokenising pass per text gives the vocabulary; ``_derive`` indexes the counts.
-            self._counts = [Counter(text.lower().split()) for text in truncated_texts]
-            if not all(self._counts):
-                raise EmptyTextError("cannot embed empty text")
+            self._counts = [_token_counts(text) for text in truncated_texts]
             self._embedder = FallbackEmbedder(sorted(set().union(*self._counts)))
             self.vocabulary = self._embedder.vocabulary
             self.dim = self._embedder.dim
@@ -283,9 +288,7 @@ class DemoIndex:
     def _fallback_scores(self, text: str) -> dict[int, float]:
         """Scores of the entries sharing a token with ``text``, from integer counts."""
         self._derive()
-        counts = Counter(text.lower().split())
-        if not counts:
-            raise EmptyTextError("cannot embed empty text")
+        counts = _token_counts(text)
         positions, (posting_ids, posting_counts, squares) = self._embedder._positions, self._postings
         dots = [0] * len(squares)
         q = 0
@@ -309,15 +312,6 @@ class DemoIndex:
             for i, (entry, norm) in enumerate(zip(self.entries, self._norms))
         }
 
-    def resolve_exclusions(self, exclusions: ExclusionList | None) -> ExclusionList:
-        """The ids in ``exclusions`` that name an entry of this index; raises
-        :class:`EmptyIndexError` when they name every entry."""
-        exclusions = exclusions or frozenset()
-        named = ExclusionList(e.doc_id for e in self.entries if e.doc_id in exclusions)
-        if len(named) == len(self.entries):
-            raise EmptyIndexError("no index entries remain after exclusions")
-        return named
-
     def retrieve_scored(
         self,
         query_text: str,
@@ -334,10 +328,13 @@ class DemoIndex:
         of scores and goes to the smaller doc id; entries sharing no token
         with a fallback query score 0.0, so only the entries that scored are
         ranked, and the others fill what is left of k in doc-id order.
+
+        When ``exclusions`` name every entry, :class:`EmptyIndexError` is
+        raised before the query is truncated, tokenized or embedded.
         """
         exclusions = exclusions or frozenset()
-        if len(exclusions) >= len(self.entries):  # only then can they name every entry
-            exclusions = self.resolve_exclusions(exclusions)
+        if all(e.doc_id in exclusions for e in self.entries):
+            raise EmptyIndexError("no index entries remain after exclusions")
         text = truncate_text(query_text, self.min_words)
         if self.mode == "fallback":
             scores = self._fallback_scores(text)

@@ -7,9 +7,10 @@ content-based tie-break) and all scores are micro-averaged over documents.
 
 Two evaluation modes mirror how unparseable model outputs are handled:
 ``all_docs`` scores an invalid prediction as empty (its gold annotations all
-count as misses), ``valid_only`` drops those documents entirely. Both are sums
-over one scoring pass that gives each gold document its own tp/fp/fn, so
-precision is identical across modes by construction; only recall moves.
+count as misses), ``valid_only`` leaves those documents out of its sums. Both
+are sums over one scoring pass that gives each gold document its own
+tp/fp/fn, so precision is identical across modes by construction; only recall
+moves.
 """
 
 from __future__ import annotations
@@ -252,25 +253,22 @@ class EvalReport:
 
     @classmethod
     def summed(cls, mode: str, valid_rate: float, missing: int, rows: list[DocScore]) -> "EvalReport":
-        """The report of ``mode`` over ``rows``: ``all_docs`` sums every row,
-        ``valid_only`` the rows of valid predictions. Mention detection is
-        left out when a summed row's gold has no mention-level annotation."""
-        if mode == MODE_VALID_ONLY:
-            rows = [row for row in rows if row.valid]
-        totals = [tuple(map(sum, zip(*task))) for task in zip(*(row.counts for row in rows))]
+        """The report of ``mode`` over ``rows``, which it keeps: ``all_docs``
+        sums every row, ``valid_only`` the rows of valid predictions. Mention
+        detection is left out when a summed row's gold has no mention-level
+        annotation."""
+        counted = [row for row in rows if row.valid] if mode == MODE_VALID_ONLY else rows
+        totals = [tuple(map(sum, zip(*task))) for task in zip(*(row.counts for row in counted))]
         tasks = {task: TaskScore(*counts) for task, counts in zip(TASKS, totals or [(0, 0, 0)] * len(TASKS))}
-        if not all(row.mentions_annotated for row in rows):
+        if not all(row.mentions_annotated for row in counted):
             del tasks["mention_det"]
         return cls(mode, valid_rate, missing, tasks, rows)
 
     def in_mode(self, mode: str) -> "EvalReport":
-        """This report in ``mode``, without scoring anything again: an
-        ``all_docs`` report holds a row for every gold document, so it gives
-        both modes."""
+        """This report in ``mode``, without scoring anything again: every
+        report holds a row for each gold document, so each gives both modes."""
         if mode == self.mode:
             return self
-        if self.mode != MODE_ALL:
-            raise ValueError(f"a {self.mode} report has no rows for {mode}")
         return EvalReport.summed(mode, self.valid_rate, self.missing_predictions, self.rows)
 
     def to_dict(self) -> dict:
@@ -307,11 +305,12 @@ def evaluate(
     """Score each gold document once, then sum the documents ``mode`` counts
     (micro-averaging).
 
-    ``all_docs`` scores every gold document, a missing or invalid prediction
-    as the empty side; its report's :meth:`EvalReport.in_mode` gives
-    ``valid_only`` from the same rows. ``valid_only`` scores only the
-    documents that have a valid prediction. Gold documents must carry
-    distinct doc ids, and so must predictions, each naming a gold document.
+    Every gold document is scored in either mode, a missing or invalid
+    prediction as the empty side; ``all_docs`` sums every row and
+    ``valid_only`` the rows of valid predictions, and the report's
+    :meth:`EvalReport.in_mode` gives the other mode from the same rows. Gold
+    documents must carry distinct doc ids, and so must predictions, each
+    naming a gold document.
     """
     if mode not in (MODE_ALL, MODE_VALID_ONLY):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -330,8 +329,6 @@ def evaluate(
     for gold_doc in golds:
         pred_doc = by_id.get(gold_doc.doc_id)
         valid = pred_doc is not None and pred_doc.valid
-        if not valid and mode == MODE_VALID_ONLY:
-            continue
         pred, gold = _Side(pred_doc if valid else None), _Side(gold_doc)
         pairs = _entity_pairs(pred, gold)
         counts = (

@@ -6,7 +6,10 @@ receives the entire document with call 1's annotations pre-filled in the
 correctly formatted beginning drastically reduces format failures on long
 documents. Call-1 failure is tolerated — the pipeline proceeds with an empty
 partial — but a call-2 parse or echo failure makes the whole prediction
-invalid: there are no partially trusted outputs.
+invalid: there are no partially trusted outputs. When call 2's prompt would
+equal call 1's (a document that is its own first fragment, whose call-1
+answer did not parse), no second call is made and call 1's answer stands as
+call 2's.
 
 A pipeline renders each demonstration's prompt block once per run and reuses
 it for both calls of every query that retrieves that demonstration.
@@ -245,7 +248,7 @@ class InferencePipeline:
     ):
         self.gateway = gateway
         self.index = index
-        self.exclusions = index.resolve_exclusions(exclusions)
+        self.exclusions = exclusions
         self.embedder = embedder
         self._demo_blocks: dict[str, str] = {}  # by doc id; racing threads write equal strings
         # Both calls run at temperature 0 and there is no retry: validity
@@ -267,7 +270,8 @@ class InferencePipeline:
             partial = None  # call 1 is an aid, not a gate: call 2 starts from an empty annotation
 
         prompt_2 = build_inference_prompt(demo, partial, doc.text, schema, demo_block)
-        response_2 = self.gateway.complete(prompt_2, self.params)
+        # Equal prompts share one cache key, so call 1's answer is call 2's.
+        response_2 = response_1 if prompt_2 == prompt_1 else self.gateway.complete(prompt_2, self.params)
         responses = (response_1, response_2)
         try:
             raw = parse_annotation_response(response_2)

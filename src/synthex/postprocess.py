@@ -209,7 +209,7 @@ class PostProcessor:
         are contained to the affected document: it is dropped with a
         gateway_error entry and the run continues.
         """
-        collected = self.collect_verdicts(records, max(1, parallelism))
+        collected = self.collect_verdicts(records, parallelism)
         kept_records: list[AnnotationRecord] = []
         drop_log: list[DropLogEntry] = []
         for record, (verdicts, error) in zip(records, collected):

@@ -546,8 +546,8 @@ class TestIndexInferEval:
         assert report["all_docs"]["valid_rate"] == 100.0
 
     def test_infer_with_everything_excluded(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
-        """The pipeline resolves its exclusions before any document: no model
-        request, no predictions and no manifest."""
+        """The first retrieval refuses the run before its query is embedded:
+        no model request, no predictions and no manifest."""
         task_path, index_path = _setup_infer_fixture(tmp_path, uni_vienna_record)
         exclusions = tmp_path / "exclusions.txt"
         exclusions.write_text("uni-vienna\nnot-in-the-index\n", encoding="utf-8")
@@ -562,6 +562,38 @@ class TestIndexInferEval:
                 "--index", str(index_path),
                 "--output", str(output),
                 "--exclusions", str(exclusions),
+                "--config", str(_write_config(tmp_path, gateway_mode="record")),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: no index entries remain after exclusions\n"
+        assert requests == []
+        assert not output.parent.exists()
+
+    def test_provider_infer_with_everything_excluded(self, tmp_path, capsys, monkeypatch, uni_vienna_record):
+        """Provider mode refuses the same run on a pool of workers, before any
+        embeddings request."""
+        requests = []
+        monkeypatch.setattr(
+            "synthex.demostore.post_json",
+            lambda url, body, **_: requests.append(body) or json.dumps({"data": [{"embedding": [1.0, 0.5]}]}).encode(),
+        )
+        task_path, _ = _setup_infer_fixture(tmp_path, uni_vienna_record, [UNSEEDED_QUERY])
+        index_path = tmp_path / "provider-index.json"
+        build_index([uni_vienna_record], mode="provider", embedder=ProviderEmbedder("", "emb")).save(index_path)
+        requests.clear()
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_text("uni-vienna\n", encoding="utf-8")
+        output = tmp_path / "out" / "p.jsonl"
+        capsys.readouterr()
+        code = main(
+            [
+                "infer",
+                "--task", str(task_path),
+                "--index", str(index_path),
+                "--output", str(output),
+                "--exclusions", str(exclusions),
+                "--parallelism", "2",
                 "--config", str(_write_config(tmp_path, gateway_mode="record")),
             ]
         )
@@ -814,9 +846,11 @@ SCORERS = ("eval_mentions", "eval_entity_ident", "eval_entity_class", "eval_rela
 class TestEvalScoresEachDocumentOnce:
     """``synthex eval`` scores each gold document once, whatever modes it
     reports, and prints and writes the bytes it did when it scored each mode
-    in a pass of its own (the expected files come from that evaluator)."""
+    in a pass of its own (the expected files come from that evaluator).
+    ``valid_only`` alone scores every gold document too: its report sums the
+    rows of valid predictions."""
 
-    @pytest.mark.parametrize("mode, scored", [(None, 6), ("valid_only", 4)], ids=["both_modes", "valid_only"])
+    @pytest.mark.parametrize("mode, scored", [(None, 6), ("valid_only", 6)], ids=["both_modes", "valid_only"])
     def test_each_scorer_runs_once_per_scored_document(self, tmp_path, capsys, monkeypatch, mode, scored):
         evaluate_module = importlib.import_module("synthex.evaluate")
         calls = Counter()

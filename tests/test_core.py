@@ -86,10 +86,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             SourceDocument(id="d1", text="   \n ")
 
-    def test_paragraphs_property(self):
-        doc = SourceDocument(id="d1", text="A.\n\nB.")
-        assert doc.paragraphs == ["A.", "B."]
-
     @pytest.mark.parametrize("start,end", [(-1, 2), (3, 3), (5, 2)])
     def test_span_validation(self, start, end):
         with pytest.raises(ValueError):

@@ -409,8 +409,36 @@ class TestDemonstrationBlocks:
         assert gateway.prompts == expected
 
     def test_a_pipeline_with_every_entry_excluded_is_refused(self):
+        """The first ``infer`` refuses, before any model call."""
+        gateway = AnnotatingGateway()
+        pipeline = InferencePipeline(gateway, build_index(DEMOS), MODEL, ExclusionList({"d0", "d1", "d9"}))
         with pytest.raises(EmptyIndexError, match="no index entries remain after exclusions"):
-            InferencePipeline(AnnotatingGateway(), build_index(DEMOS), MODEL, ExclusionList({"d0", "d1", "d9"}))
+            pipeline.infer(QUERIES[0], SCHEMA)
+        assert gateway.prompts == []
+
+    @pytest.mark.parametrize("text, calls", [
+        ("Alpha.", 1),
+        (" ".join(["alpha"] * 161), 1),
+        ("Alpha.\n\nBeta.", 2),
+    ], ids=["one_sentence", "unbreakable_161_words", "two_paragraphs"])
+    def test_call_two_is_made_unless_its_prompt_equals_call_ones(self, tmp_path, text, calls):
+        """When call 1 does not parse, a document that is its own first
+        fragment would ask call 2 what it asked call 1: call 1's answer then
+        stands as call 2's, with one model call and one cache entry."""
+        doc = SourceDocument(id="q", text=text)
+        prompts = [build_inference_prompt(DEMOS[0], None, first_fragment(doc), SCHEMA)]
+        if calls == 2:
+            prompts.append(build_inference_prompt(DEMOS[0], None, text, SCHEMA))
+        assert (first_fragment(doc) == text) == (calls == 1)
+        gateway = replay_gateway(tmp_path, [(prompt, params_for(MODEL, 0.0), "no json here") for prompt in prompts])
+        asked = []
+        complete = gateway.complete
+        gateway.complete = lambda p, params: asked.append(p) or complete(p, params)
+        prediction = InferencePipeline(gateway, build_index(DEMOS), MODEL).infer(doc, SCHEMA)
+        assert asked == prompts
+        assert not prediction.valid and prediction.provenance["invalid_reason"].startswith("parse: ")
+        assert prediction.raw_responses == ("no json here", "no json here")
+        assert len(list((tmp_path / "cache").iterdir())) == calls
 
     def test_record_run_on_two_workers_writes_what_one_worker_does(self, tmp_path, stub_server):
         build_index(DEMOS).save(tmp_path / "index.jsonl")

@@ -11,10 +11,12 @@ fallback cosines goes to the smaller doc id; a provider index embeds each
 query as its truncation; phase-2 filtering drops exactly what its verdicts
 decide; every reader of outside bytes raises only its documented error on
 hostile input; ``generate`` through ``cli.main`` accounts for every corpus
-document exactly once; every prediction makes exactly two chat calls, call 2
-carrying call 1's partial; eval's two modes agree on precision, and its
-one-pass reports equal a reference that scores each mode in a pass of its
-own."""
+document exactly once; every prediction makes two chat calls, call 2
+carrying call 1's partial, unless call 2's prompt would equal call 1's; eval's
+two modes agree on precision, and its one-pass reports equal a reference that
+scores each mode in a pass of its own; through ``cli.main``, ``infer`` over a
+mutated index file and ``eval`` over a mutated predictions file either contain
+their failures or refuse on one ``error:`` line, writing nothing."""
 
 import io
 import json
@@ -45,6 +47,7 @@ from synthex.core import (
     Triple,
     derive_entity_types,
     derive_relation_types,
+    dump_jsonl,
     load_corpus,
     load_jsonl,
     load_records,
@@ -848,10 +851,13 @@ documents = st.lists(st.lists(sentences, min_size=1, max_size=3).map(" ".join), 
 @settings(max_examples=40, deadline=None)
 @given(documents, st.sampled_from(["parsed", "unreadable"]), st.sampled_from(["valid", "unreadable", "echo"]))
 def test_each_prediction_makes_two_calls_and_call_two_carries_call_one(doc, call_1, call_2):
-    """Through a replayed gateway: every prediction, valid or not, makes
-    exactly two chat calls; it is valid exactly when call 2's answer parses
-    and echoes the document; call 2's query block holds call 1's markup and
-    entities when call 1 parsed, and an empty annotation when it did not."""
+    """Through a replayed gateway: every prediction, valid or not, makes two
+    chat calls, unless call 2's prompt equals call 1's (a document that is
+    its own first fragment, whose call 1 did not parse); then it makes one,
+    and call 1's answer stands as call 2's. It is valid exactly when call 2's
+    answer parses and echoes the document; call 2's query block holds call
+    1's markup and entities when call 1 parsed, and an empty annotation when
+    it did not."""
     demo = make_passing_record(random.Random(3), "demo")
     fragment = first_fragment(doc)
     response_1 = good_annotation_response(fragment) if call_1 == "parsed" else "no json here"
@@ -867,7 +873,7 @@ def test_each_prediction_makes_two_calls_and_call_two_carries_call_one(doc, call
     for partial in partials:
         # Call 2 is answered with or without the partial; the prompt check
         # below decides. A one-paragraph document whose call 1 did not parse
-        # asks call 2 what it asked call 1, so it gets call 1's answer again.
+        # would ask call 2 what it asked call 1, so call 1's answer stands.
         answers.setdefault(build_inference_prompt(demo, partial, doc.text, INFER_SCHEMA), response_2)
     params = params_for(INFER_MODEL, 0.0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -877,9 +883,12 @@ def test_each_prediction_makes_two_calls_and_call_two_carries_call_one(doc, call
         gateway.complete = lambda prompt, call_params: prompts.append(prompt) or complete(prompt, call_params)
         index = build_index([demo], mode="fallback", min_words=100)
         prediction = InferencePipeline(gateway, index, INFER_MODEL).infer(doc, INFER_SCHEMA)
-    assert len(prompts) == 2
-    assert prediction.valid == (answers[prompts[1]] == good_annotation_response(doc.text))
-    query_block = json.loads(re.findall(r"```json\n(.*?)\n```", prompts[1], re.DOTALL)[1])
+    prompt_1 = build_inference_prompt(demo, None, fragment, INFER_SCHEMA)
+    prompt_2 = build_inference_prompt(demo, partials[-1], doc.text, INFER_SCHEMA)
+    assert prompts == ([prompt_1] if prompt_2 == prompt_1 else [prompt_1, prompt_2])
+    assert prediction.raw_responses == (response_1, answers[prompt_2])
+    assert prediction.valid == (answers[prompt_2] == good_annotation_response(doc.text))
+    query_block = json.loads(re.findall(r"```json\n(.*?)\n```", prompt_2, re.DOTALL)[1])
     carried = (query_block["text_with_spans"], query_block["entities"])
     if call_1 == "parsed":
         call_1_block = json.loads(re.search(r"```json\n(.*?)\n```", response_1, re.DOTALL).group(1))
@@ -1245,3 +1254,122 @@ def test_outside_readers_raise_only_their_documented_error(tmp_path_factory, rea
     except error:
         return
     _assert_well_typed(result, result_type)
+
+
+# --- containment through cli.main ------------------------------------------------
+
+CONTAINED_DEMOS = [make_passing_record(random.Random(seed), f"d{seed}") for seed in (11, 12, 13)]
+CONTAINED_SWAPS = ["null", "true", str(2**70), "1e308", '""', "[]", "{}", "[" * 3000 + "]" * 3000]
+
+
+def _value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@st.composite
+def mutated_jsonl(draw, lines: list) -> bytes:
+    """The JSONL bytes of ``lines`` with one mutation: a key dropped from an
+    object, one value (a whole line included) swapped for one of
+    ``CONTAINED_SWAPS``, or the bytes cut short at one byte."""
+    data = json.loads(json.dumps(lines))
+    kind = draw(st.sampled_from(["drop", "swap", "cut"]))
+    if kind == "drop":
+        objects = [p for p in _paths(data) if isinstance(_value_at(data, p), dict) and _value_at(data, p)]
+        owner = _value_at(data, draw(st.sampled_from(objects)))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif kind == "swap":
+        *parents, last = draw(st.sampled_from([p for p in _paths(data) if p]))
+        _value_at(data, parents)[last] = HOLE
+    payload = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in data)
+    if kind == "swap":
+        payload = payload.replace(json.dumps(HOLE), draw(st.sampled_from(CONTAINED_SWAPS)))
+    payload = payload.encode()
+    return payload[: draw(st.integers(0, len(payload) - 1))] if kind == "cut" else payload
+
+
+def _index_lines(tmp: Path) -> list:
+    build_index(CONTAINED_DEMOS, mode="fallback", min_words=100).save(tmp / "valid-index.jsonl")
+    return [json.loads(line) for line in (tmp / "valid-index.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def _infer_argv(tmp: Path) -> list[str]:
+    """``synthex infer --replay`` over an empty cache, of two queries against ``tmp/index.jsonl``."""
+    task = {
+        "schema": {"entity_types": ["Person", "Place"], "relation_types": ["located_in"]},
+        "documents": [{"id": f"q{i}", "text": demo.text} for i, demo in enumerate(CONTAINED_DEMOS[:2])],
+    }
+    (tmp / "task.json").write_text(json.dumps(task), encoding="utf-8")
+    return ["infer", "--replay", "--task", str(tmp / "task.json"), "--index", str(tmp / "index.jsonl"),
+            "--output", str(tmp / "out" / "predictions.jsonl"),
+            "--config", str(_write_config(tmp))]
+
+
+CONTAINED_PREDICTIONS = [
+    prediction_to_dict(Prediction(g.doc_id, g.entities, g.mentions, g.triples, i != 1, ("a", "b")))
+    for i, g in enumerate(CONTAINED_DEMOS)
+]
+
+
+def _eval_argv(tmp: Path) -> list[str]:
+    """``synthex eval`` of ``tmp/predictions.jsonl`` against the three demonstrations as gold."""
+    dump_jsonl([record_to_dict(g) for g in CONTAINED_DEMOS], tmp / "gold.jsonl")
+    return ["eval", "--predictions", str(tmp / "predictions.jsonl"), "--gold", str(tmp / "gold.jsonl"),
+            "--output", str(tmp / "out" / "report.json")]
+
+
+def _run_main(argv: list[str]) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def assert_contained(code: int, errors: list[str], tmp: Path, contained=lambda line: False):
+    """Exit 0 with each stderr line one ``contained`` accepts, or exit 1
+    with one ``error: …`` line and no output written."""
+    if code == 0:
+        assert (tmp / "out").exists() and all(map(contained, errors)), errors
+    else:
+        assert code == 1 and len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert not (tmp / "out").exists()
+
+
+def _lost_to_the_gateway(line: str) -> bool:
+    return line.startswith("gateway error: q") or re.fullmatch(r"\d+ documents failed on gateway errors", line)
+
+
+def test_unmutated_command_inputs_run():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "index.jsonl").write_text("".join(json.dumps(line) + "\n" for line in _index_lines(tmp)))
+        code, errors = _run_main(_infer_argv(tmp))
+        assert code == 0 and len(errors) == 3 and all(map(_lost_to_the_gateway, errors)), errors
+        dump_jsonl(CONTAINED_PREDICTIONS, tmp / "predictions.jsonl")
+        assert _run_main(_eval_argv(tmp)) == (0, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_index_file_is_contained_by_infer(data):
+    """``synthex infer`` over a 3-entry index file with one mutation either
+    loses its documents to the empty cache or refuses the run on one line,
+    writing nothing; ``main`` never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "index.jsonl").write_bytes(data.draw(mutated_jsonl(_index_lines(tmp))))
+        code, errors = _run_main(_infer_argv(tmp))
+        assert_contained(code, errors, tmp, _lost_to_the_gateway)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_jsonl(CONTAINED_PREDICTIONS))
+def test_a_mutated_predictions_file_is_contained_by_eval(payload):
+    """``synthex eval`` of a predictions file with one mutation either
+    scores it or refuses on one line, writing nothing; ``main`` never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "predictions.jsonl").write_bytes(payload)
+        code, errors = _run_main(_eval_argv(tmp))
+        assert_contained(code, errors, tmp)

@@ -9,7 +9,11 @@ embeddings bodies) in ``core.decode_object``, and model responses in
 manifests are written in one place, ``cli.main``, for every command. An
 output's directory is made in one place, ``core.atomic_writer``, which every
 file the package writes goes through: no other code calls ``mkdir`` or
-``makedirs``."""
+``makedirs``. Retrieval refuses exclusions that name every demonstration in
+one place, ``DemoIndex.retrieve_scored``, the only code that constructs
+``EmptyIndexError``. In ``demostore`` one function, ``_token_counts``,
+lowercases and splits a text into tokens, for demonstrations and queries
+alike."""
 
 import ast
 import sys
@@ -123,6 +127,27 @@ def test_directories_are_made_only_in_atomic_writer():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) in ("mkdir", "makedirs")]
     assert sites == [("core.py", "atomic_writer")]
+
+
+def test_empty_index_error_is_raised_only_in_retrieve_scored():
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [(path.name, scope) for scope, call in _calls(tree) if _called_name(call) == "EmptyIndexError"]
+    assert sites == [("demostore.py", "DemoIndex.retrieve_scored")]
+
+
+def _lower_split_calls(tree: ast.AST):
+    """The scope of each ``<expr>.lower().split()`` call."""
+    for scope, call in _calls(tree):
+        inner = getattr(call.func, "value", None)
+        if _called_name(call) == "split" and isinstance(inner, ast.Call) and _called_name(inner) == "lower":
+            yield scope
+
+
+def test_demostore_tokenizes_only_in_token_counts():
+    tree = ast.parse((PACKAGE_DIR / "demostore.py").read_text(encoding="utf-8"))
+    assert list(_lower_split_calls(tree)) == ["_token_counts"]
 
 
 ALIASED_KEYS = {"relations", "triples", "annotated_text", "text_with_spans"}
